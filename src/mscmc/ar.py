@@ -12,10 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ar_drift_constants
-from .engine import DriftSpec, ModelBundle
-from .rng import RngStream
+from .engine import ATOM_LABEL, DriftSpec, ModelBundle
+from .rng import RngStream, open_uniform, stream_words
 
 __all__ = ["ArConfig", "ArModel", "ar_kernel_step", "ar_log_weight", "ar_in_C"]
+
+# keys per stream_words call in ArModel.propose_block: bounds the temporaries
+# (a few MB at d = 16) at any N
+_BLOCK_KEYS = 16_384
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,19 @@ def ar_log_weight(x: np.ndarray, config: ArConfig) -> float:
     """Exact log density ratio of N(0, I) over N(0, (1/2+h) I) at x,
     normalizing constants included (both densities are fully known)."""
     s = 0.5 + config.h
-    sq = float(x @ x)
+    sq = 0.0
+    for v in np.asarray(x, dtype=float).tolist():
+        sq += v * v
+    return 0.5 * config.d * math.log(s) - 0.5 * sq * (1.0 - 1.0 / s)
+
+
+def _ar_log_weights(x: np.ndarray, config: ArConfig) -> np.ndarray:
+    # ar_log_weight of each row of an (n, d) array, bit for bit: the squared
+    # norm accumulates one column at a time, in ar_log_weight's order
+    s = 0.5 + config.h
+    sq = x[:, 0] * x[:, 0]
+    for j in range(1, x.shape[1]):
+        sq += x[:, j] * x[:, j]
     return 0.5 * config.d * math.log(s) - 0.5 * sq * (1.0 - 1.0 / s)
 
 
@@ -70,10 +86,32 @@ class ArModel(ModelBundle):
         self._noise_scale = math.sqrt(1.0 - config.rho**2)
 
     def propose(self, stream: RngStream) -> np.ndarray:
-        return self._prop_scale * stream.gen.standard_normal(self.config.d)
+        return self._atoms(stream.gen.bit_generator.random_raw(self.config.d))
 
     def log_weight(self, state: np.ndarray) -> float:
         return ar_log_weight(state, self.config)
+
+    def propose_block(
+        self, master_seed: int, lo: int, hi: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Atom i is ``propose`` on stream (master_seed, ATOM_LABEL, i), bit for bit:
+        words 0..d-1 of every stream in the block are computed at once."""
+        atoms = np.empty((hi - lo, self.config.d))
+        logw = np.empty(hi - lo)
+        for start in range(lo, hi, _BLOCK_KEYS):
+            stop = min(start + _BLOCK_KEYS, hi)
+            words = stream_words(master_seed, ATOM_LABEL, start, stop, self.config.d)
+            block = self._atoms(words)
+            atoms[start - lo : stop - lo] = block
+            logw[start - lo : stop - lo] = _ar_log_weights(block, self.config)
+        return atoms, logw
+
+    def _atoms(self, words: np.ndarray) -> np.ndarray:
+        # fixed consumption: one raw word per coordinate through the normal
+        # inverse CDF, so atom i depends only on words 0..d-1 of its stream
+        from scipy.special import ndtri
+
+        return self._prop_scale * ndtri(open_uniform(words))
 
     def kernel_step(self, stream: RngStream, state: np.ndarray) -> np.ndarray:
         return self.config.rho * state + self._noise_scale * stream.gen.standard_normal(

@@ -150,6 +150,13 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _write_taus(path: str, taus: np.ndarray) -> None:
+    # excursions.csv in one join: the bytes _write_csv would write for rows
+    # [chain, tau], without formatting each cell in Python
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("chain,tau\n" + "".join(f"{m},{t}\n" for m, t in enumerate(taus.tolist())))
+
+
 def _fmt(v) -> str:
     if isinstance(v, float):
         return repr(v)
@@ -217,11 +224,7 @@ def _run_model(cfg: dict, model, names: list[str]) -> int:
             for j in range(len(names))
         ],
     )
-    _write_csv(
-        os.path.join(out, "excursions.csv"),
-        ["chain", "tau"],
-        [[m, int(result.taus[m])] for m in range(result.M)],
-    )
+    _write_taus(os.path.join(out, "excursions.csv"), result.taus)
     _write_diagnostics(
         out,
         {

@@ -36,6 +36,9 @@ __all__ = [
 
 DEFAULT_EXCURSION_CAP = 1_000_000
 
+# atom i of the restart distribution is drawn on stream (master_seed, ATOM_LABEL, i)
+ATOM_LABEL = "init"
+
 
 class CapExceededError(RuntimeError):
     """An excursion failed to return to the drift set within the step cap."""
@@ -123,6 +126,23 @@ class ModelBundle(ABC):
     def f_value(self, state: np.ndarray) -> float:
         """Drift-function value at ``state`` (always >= 1)."""
 
+    def propose_block(
+        self, master_seed: int, lo: int, hi: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Atoms lo..hi-1 as an (hi - lo, d) array, and their log-weights.
+
+        Atom i is ``propose`` on stream (master_seed, ATOM_LABEL, i).  A model
+        may override this with a vectorised draw that keeps that addressing.
+        """
+        stream = derive_stream(master_seed, ATOM_LABEL, lo)
+        atoms = []
+        logw = np.empty(hi - lo)
+        for i in range(lo, hi):
+            atom = self.propose(stream.rekey(i))
+            atoms.append(atom)
+            logw[i - lo] = self.log_weight(atom)
+        return np.asarray(atoms), logw
+
     def in_return_set(self, state: np.ndarray) -> bool:
         return self.f_value(state) <= self.drift.R
 
@@ -204,17 +224,7 @@ def _init_ctx(ctx: dict) -> None:  # used with spawn-safe initializer too
 
 
 def _propose_block(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi = bounds
-    model = _CTX["model"]
-    stream = derive_stream(_CTX["master_seed"], "init", lo)
-    atoms = []
-    logw = np.empty(hi - lo)
-    for i in range(lo, hi):
-        stream.rekey(i)
-        atom = model.propose(stream)
-        atoms.append(atom)
-        logw[i - lo] = model.log_weight(atom)
-    return np.asarray(atoms), logw
+    return _CTX["model"].propose_block(_CTX["master_seed"], *bounds)
 
 
 def build_initial_distribution(
@@ -223,7 +233,7 @@ def build_initial_distribution(
     master_seed: int,
     workers: int | None = None,
 ) -> WeightedAtoms:
-    """Draw N proposal atoms on streams ("init", i) and self-normalize their weights.
+    """Draw N proposal atoms on streams (ATOM_LABEL, i) and self-normalize their weights.
 
     Log-weights may be -inf (zero-weight atoms) but not NaN or +inf, and not
     all -inf.  Normalization is done in the log domain with a max shift, so
@@ -326,22 +336,6 @@ def _excursion_block(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, n
     return sums, taus, started
 
 
-def _sequential_mean_std(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # strictly index-ordered accumulation: the reduction is identical for any
-    # worker count, so output files are byte-reproducible
-    m = values.shape[0]
-    acc = np.zeros(values.shape[1])
-    for row in values:
-        acc += row
-    mean = acc / m
-    acc = np.zeros(values.shape[1])
-    for row in values:
-        d = row - mean
-        acc += d * d
-    std = np.sqrt(acc / (m - 1))
-    return mean, std
-
-
 def msc_estimate(
     model: ModelBundle,
     atoms: WeightedAtoms,
@@ -353,9 +347,10 @@ def msc_estimate(
 ) -> MscResult:
     """Average M independent excursion sums started from the weighted atoms.
 
-    Chain m draws its start and runs its excursion on stream ("chain", m);
-    the final reduction is sequential in chain order, so the result depends
-    only on (master_seed, N, M) and never on the worker count.
+    Chain m draws its start (one uniform) and runs its excursion on stream
+    ("chain", m); the final reduction runs over the sums in chain order, so
+    the result depends only on (master_seed, N, M) and never on the worker
+    count.
     """
     if M < 2:
         raise ValueError("M must be >= 2 (a sample standard error needs two sums)")
@@ -381,7 +376,12 @@ def msc_estimate(
     taus = np.concatenate([p[1] for p in parts])
     started = np.concatenate([p[2] for p in parts])
 
-    estimates, std = _sequential_mean_std(sums)
+    # sums is in chain order whatever the worker count, so this reduction and
+    # the output files are byte-reproducible; the squared deviations overwrite
+    # sums instead of filling an (M, functions) copy as ndarray.std would
+    estimates = sums.mean(axis=0)
+    sums -= estimates
+    std = np.sqrt(np.square(sums, out=sums).sum(axis=0) / (M - 1))
     return MscResult(
         estimates=estimates,
         stderrs=std / np.sqrt(M),

@@ -4,7 +4,10 @@ Streams are counter-based (Philox 4x64) and derived in O(1) from a triple
 (master_seed, label, index), so the draw sequence of any stream is fixed
 regardless of scheduling, thread count, or platform.  Label strings are
 hashed with FNV-1a 64-bit; the Philox key words are
-(master_seed XOR fnv1a64(label), index).
+(master_seed XOR fnv1a64(label), index).  Because Philox is a pure function
+of (key, counter), ``stream_words`` computes the leading words of a whole
+range of streams in one vectorised pass, bit-identical to drawing them from
+each stream in turn.
 """
 from __future__ import annotations
 
@@ -17,6 +20,8 @@ __all__ = [
     "RngStream",
     "derive_stream",
     "fnv1a64",
+    "stream_words",
+    "open_uniform",
     "sample_std_normal",
     "sample_mvn",
     "CategoricalSampler",
@@ -54,7 +59,7 @@ class RngStream:
     must never be shared concurrently.
     """
 
-    __slots__ = ("master_seed", "label", "index", "gen", "_bg", "_label_hash")
+    __slots__ = ("master_seed", "label", "index", "gen", "_bg", "_key0")
 
     def __init__(self, master_seed: int, label: str, index: int):
         if not 0 <= int(master_seed) <= _MASK64:
@@ -64,9 +69,8 @@ class RngStream:
         self.master_seed = int(master_seed)
         self.label = label
         self.index = int(index)
-        self._label_hash = fnv1a64(label)
-        key = np.array([self.master_seed ^ self._label_hash, self.index], dtype=np.uint64)
-        self._bg = Philox(key=key)
+        self._key0 = self.master_seed ^ fnv1a64(label)
+        self._bg = Philox(key=np.array([self._key0, self.index], dtype=np.uint64))
         self.gen = Generator(self._bg)
 
     def rekey(self, index: int) -> "RngStream":
@@ -75,13 +79,17 @@ class RngStream:
         Cheap alternative to constructing a fresh stream in hot loops;
         produces the identical sequence to ``derive_stream(seed, label, index)``.
         """
-        st = self._bg.state
-        st["state"]["key"][1] = index
-        st["state"]["counter"][:] = 0
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bg.state = st
+        if not 0 <= index <= _MASK64:
+            raise ValueError("index must fit in 64 bits")
+        # one fresh state (plain ints: the setter copies them into the C state)
+        self._bg.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (self._key0, index)},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         self.index = int(index)
         return self
 
@@ -92,6 +100,65 @@ class RngStream:
 def derive_stream(master_seed: int, label: str, index: int) -> RngStream:
     """Derive the independent stream addressed by (master_seed, label, index)."""
     return RngStream(master_seed, label, index)
+
+
+# Philox4x64-10 round multipliers and key increments (Salmon et al., SC'11).
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # high and low words of the 128-bit product m * x, from 32-bit limbs so no
+    # partial product overflows 64 bits
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> _SHIFT32
+    t = m_hi * x_lo + ((m_lo * x_lo) >> _SHIFT32)
+    u = m_lo * x_hi + (t & _LO32)
+    return m_hi * x_hi + (t >> _SHIFT32) + (u >> _SHIFT32), np.uint64(m) * x
+
+
+def stream_words(master_seed: int, label: str, lo: int, hi: int, n: int) -> np.ndarray:
+    """Raw words 0..n-1 of every stream (master_seed, label, i) with lo <= i < hi.
+
+    Returns a (hi - lo, n) uint64 array whose row i - lo equals
+    ``derive_stream(master_seed, label, i).gen.bit_generator.random_raw(n)``.
+    numpy's Philox increments its counter before each 4-word block, so words
+    4b..4b+3 are the Philox4x64-10 block at counter b + 1.
+    """
+    if not 0 <= int(master_seed) <= _MASK64:
+        raise ValueError("master_seed must fit in 64 bits")
+    if not 0 <= lo <= hi <= _MASK64 + 1:
+        raise ValueError("need 0 <= lo <= hi <= 2**64")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    key0 = int(master_seed) ^ fnv1a64(label)
+    index = np.uint64(lo) + np.arange(hi - lo, dtype=np.uint64)
+    zero = np.zeros(hi - lo, dtype=np.uint64)
+    blocks = []
+    for b in range(-(-n // 4)):
+        c0, c1, c2, c3 = zero + np.uint64(b + 1), zero, zero, zero
+        for r in range(_PHILOX_ROUNDS):
+            k0 = np.uint64((key0 + r * _PHILOX_W[0]) & _MASK64)
+            k1 = index + np.uint64((r * _PHILOX_W[1]) & _MASK64)
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        blocks.append(np.stack([c0, c1, c2, c3], axis=1))
+    return np.concatenate(blocks, axis=1)[:, :n]
+
+
+def open_uniform(words: np.ndarray) -> np.ndarray:
+    """Map raw words to uniforms (k + 1/2) 2**-52, k the top 52 bits.
+
+    Every value lies in the open interval (0, 1) and the set of values is
+    symmetric about 1/2, so an inverse CDF of it is finite and, for a
+    symmetric law, exactly antisymmetric.  (53 bits would round the top
+    word's (2**53 - 1/2) 2**-53 up to 1.0.)
+    """
+    return ((words >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
 
 
 def sample_std_normal(stream: RngStream) -> float:
@@ -112,12 +179,13 @@ def sample_mvn(stream: RngStream, mean: np.ndarray, chol_factor: np.ndarray) -> 
 
 
 class CategoricalSampler:
-    """Alias-table sampler over a fixed probability vector.
+    """Inverse-CDF sampler over a fixed probability vector.
 
-    O(N) setup, two uniforms per draw thereafter.
+    O(N) setup (one cumulative sum); each draw takes one uniform from the
+    stream and a binary search.  An index of weight zero is never returned.
     """
 
-    __slots__ = ("n", "prob", "alias")
+    __slots__ = ("cdf", "last")
 
     def __init__(self, weights: np.ndarray):
         w = np.asarray(weights, dtype=float)
@@ -128,35 +196,15 @@ class CategoricalSampler:
         total = float(w.sum())
         if abs(total - 1.0) > 1e-9 * max(1.0, w.size):
             raise ValueError(f"weights must sum to 1 (got {total!r})")
-        n = w.size
-        scaled = w * (n / total)
-        prob = np.ones(n)
-        alias = np.arange(n)
-        small = [i for i in range(n) if scaled[i] < 1.0]
-        large = [i for i in range(n) if scaled[i] >= 1.0]
-        while small and large:
-            s = small.pop()
-            l = large.pop()
-            prob[s] = scaled[s]
-            alias[s] = l
-            scaled[l] -= 1.0 - scaled[s]
-            if scaled[l] < 1.0:
-                small.append(l)
-            else:
-                large.append(l)
-        # leftovers are 1 up to rounding
-        self.n = n
-        self.prob = prob
-        self.alias = alias
+        self.cdf = np.cumsum(w)
+        # sample() clamps to this: were u * total ever to round up to the
+        # total, searchsorted would return w.size
+        self.last = int(np.flatnonzero(w)[-1])
 
     def sample(self, stream: RngStream) -> int:
-        u = stream.gen.random()
-        k = int(u * self.n)
-        if k == self.n:  # u == 1.0 cannot occur, guard anyway
-            k = self.n - 1
-        if stream.gen.random() < self.prob[k]:
-            return k
-        return int(self.alias[k])
+        # side="right" skips zero-weight indices: their cdf equals their predecessor's
+        k = int(self.cdf.searchsorted(stream.gen.random() * self.cdf[-1], side="right"))
+        return min(k, self.last)
 
 
 def sample_categorical(stream: RngStream, weights: np.ndarray) -> int:

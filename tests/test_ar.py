@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import bootstrap_stderr
+from mscmc import ar
 from mscmc.ar import ArConfig, ArModel, ar_in_C, ar_kernel_step, ar_log_weight
 from mscmc.engine import build_initial_distribution, coordinate_functions, msc_estimate
 from mscmc.rng import derive_stream
@@ -120,6 +121,29 @@ class TestAtoms:
         model = ArModel(ArConfig(rho=0.9, d=2, h=0.5, r=1.5))
         atoms = build_initial_distribution(model, 100, master_seed=23, workers=1)
         assert atoms.w2_hat == pytest.approx(1.0, abs=1e-14)
+
+
+class TestProposeBlock:
+    @pytest.mark.parametrize("d, lo, hi", [(2, 0, 40), (16, 7, 30), (3, 2**64 - 9, 2**64)])
+    def test_rows_equal_scalar_proposals(self, monkeypatch, d, lo, hi):
+        monkeypatch.setattr(ar, "_BLOCK_KEYS", 8)  # several chunks, a ragged last one
+        model = ArModel(ArConfig(rho=0.9, d=d, h=0.49, r=1.5))
+        atoms, logw = model.propose_block(31, lo, hi)
+        assert atoms.shape == (hi - lo, d) and logw.shape == (hi - lo,)
+        for i in range(lo, hi):
+            x = model.propose(derive_stream(31, "init", i))
+            assert np.array_equal(atoms[i - lo], x)
+            assert logw[i - lo] == model.log_weight(x)
+
+    def test_build_initial_distribution_worker_independent(self):
+        model = ArModel(CFG)
+        runs = [
+            build_initial_distribution(model, 1_001, master_seed=33, workers=w) for w in (1, 2, 3)
+        ]
+        for other in runs[1:]:
+            assert np.array_equal(runs[0].atoms, other.atoms)
+            assert np.array_equal(runs[0].norm_weights, other.norm_weights)
+        assert np.array_equal(runs[0].atoms[1_000], model.propose(derive_stream(33, "init", 1_000)))
 
 
 class TestPipeline:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from mscmc.cli import main
+from mscmc.cli import _write_csv, _write_taus, main
 
 from conftest import HEART_PATH
 
@@ -111,6 +111,12 @@ class TestRunAr:
                 (out / "estimates.csv").read_bytes() + (out / "excursions.csv").read_bytes()
             )
         assert couts[0] == couts[1]
+
+    def test_excursions_writer_matches_generic_csv(self, tmp_path):
+        taus = np.array([0, 1, 3, 0, 12, 2**40], dtype=np.int64)
+        _write_taus(tmp_path / "fast.csv", taus)
+        _write_csv(tmp_path / "slow.csv", ["chain", "tau"], [[m, int(t)] for m, t in enumerate(taus)])
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
 
     def test_seed_flag_changes_results(self, tmp_path):
         outs = []

@@ -1,19 +1,23 @@
 import concurrent.futures
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.random import Philox
 from scipy.stats import ks_2samp
 
 from mscmc.rng import (
     CategoricalSampler,
     derive_stream,
     fnv1a64,
+    open_uniform,
     sample_categorical,
     sample_mvn,
     sample_polya_gamma,
     sample_polya_gamma_batch,
     sample_std_normal,
+    stream_words,
 )
 
 
@@ -46,7 +50,7 @@ class TestStreams:
 
     def test_rekey_matches_fresh_stream(self):
         stream = derive_stream(9, "chain", 0)
-        for idx in (0, 5, 17, 2**40):
+        for idx in (0, 5, 17, 2**40, 2**64 - 1):
             stream.rekey(idx)
             got = stream.gen.random(20)
             want = derive_stream(9, "chain", idx).gen.random(20)
@@ -70,6 +74,42 @@ class TestStreams:
             derive_stream(-1, "x", 0)
         with pytest.raises(ValueError):
             derive_stream(0, "x", 2**64)
+        with pytest.raises(ValueError):
+            derive_stream(0, "x", 0).rekey(2**64)
+
+
+class TestStreamWords:
+    @pytest.mark.parametrize("label", ["init", "chain", "", "x" * 40])
+    def test_known_answer_against_numpy_philox(self, label):
+        seed = 0xFEEDFACECAFEBEEF
+        for lo, hi in ((0, 5), (2**64 - 3, 2**64)):
+            words = stream_words(seed, label, lo, hi, 9)  # 9 words: three counter blocks
+            assert words.shape == (hi - lo, 9) and words.dtype == np.uint64
+            for i in range(lo, hi):
+                key = np.array([seed ^ fnv1a64(label), i], dtype=np.uint64)
+                assert np.array_equal(words[i - lo], Philox(key=key).random_raw(9))
+
+    def test_empty_range(self):
+        assert stream_words(3, "init", 4, 4, 2).shape == (0, 2)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            stream_words(-1, "init", 0, 1, 1)
+        with pytest.raises(ValueError):
+            stream_words(0, "init", 2, 1, 1)
+        with pytest.raises(ValueError):
+            stream_words(0, "init", 0, 2**64 + 1, 1)
+        with pytest.raises(ValueError):
+            stream_words(0, "init", 0, 1, 0)
+
+    def test_open_uniform_extremes_and_symmetry(self):
+        words = np.array([0, 2**12 - 1, 2**64 - 1, 2**63], dtype=np.uint64)
+        u = open_uniform(words)
+        assert u[0] == u[1] == 2.0**-53
+        assert u[2] == 1.0 - 2.0**-53
+        assert u[3] == 0.5 + 2.0**-53
+        assert np.all((u > 0.0) & (u < 1.0))
+        assert np.array_equal(1.0 - open_uniform(~words), u)
 
 
 class TestStdNormal:
@@ -145,6 +185,35 @@ class TestCategorical:
     def test_bad_sum_rejected(self):
         with pytest.raises(ValueError):
             CategoricalSampler(np.array([0.5, 0.6]))
+
+    @pytest.mark.parametrize(
+        "weights, u, want",
+        [
+            ([0.25, 0.75, 0.0, 0.0], 1.0 - 2.0**-53, 1),  # trailing zeros, largest uniform
+            ([0.0, 0.5, 0.5], 0.0, 1),  # leading zero, smallest uniform
+            ([0.5, 0.0, 0.5], 0.5, 2),  # uniform exactly on an interior zero's cdf
+            ([0.5, 0.0, 0.5], 0.5 - 2.0**-54, 0),
+        ],
+    )
+    def test_zero_weight_never_returned_at_extreme_uniforms(self, weights, u, want):
+        stream = SimpleNamespace(gen=SimpleNamespace(random=lambda: u))
+        assert CategoricalSampler(np.array(weights)).sample(stream) == want
+
+    def test_zero_weights_never_drawn(self):
+        w = np.zeros(64)
+        w[[3, 17, 40, 63]] = [0.1, 0.2, 0.3, 0.4]
+        w[63] = 1.0 - w[:63].sum()
+        sampler = CategoricalSampler(w)
+        stream = derive_stream(5, "cat", 4)
+        draws = np.array([sampler.sample(stream) for _ in range(20_000)])
+        assert set(draws.tolist()) == {3, 17, 40, 63}
+
+    def test_one_uniform_per_draw(self):
+        sampler = CategoricalSampler(np.array([0.1, 0.2, 0.3, 0.4]))
+        stream = derive_stream(5, "cat", 5)
+        for _ in range(10):
+            sampler.sample(stream)
+        assert stream.gen.random() == derive_stream(5, "cat", 5).gen.random(11)[-1]
 
 
 def pg_true_mean(b: float) -> float:
