@@ -10,14 +10,12 @@ from .ar import ArConfig, ArModel
 from .engine import (
     CapExceededError,
     DriftSpec,
-    Excursion,
     ModelBundle,
     MscResult,
     WeightedAtoms,
     WeightError,
     build_initial_distribution,
     coordinate_functions,
-    estimate_weight_second_moment,
     msc_estimate,
     run_excursion,
 )
@@ -32,7 +30,6 @@ __all__ = [
     "CapExceededError",
     "Dataset",
     "DriftSpec",
-    "Excursion",
     "LogitModel",
     "LogitPosterior",
     "ModelBundle",
@@ -43,7 +40,6 @@ __all__ = [
     "build_initial_distribution",
     "coordinate_functions",
     "derive_stream",
-    "estimate_weight_second_moment",
     "load_heart_dataset",
     "msc_estimate",
     "run_excursion",

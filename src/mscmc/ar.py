@@ -15,7 +15,7 @@ from .bounds import ar_drift_constants
 from .engine import ATOM_LABEL, DriftSpec, ModelBundle
 from .rng import RngStream, open_uniform, stream_words
 
-__all__ = ["ArConfig", "ArModel", "ar_kernel_step", "ar_log_weight", "ar_in_C"]
+__all__ = ["ArConfig", "ArModel", "ar_log_weight"]
 
 # keys per stream_words call in ArModel.propose_block: bounds the temporaries
 # (a few MB at d = 16) at any N
@@ -43,12 +43,6 @@ class ArConfig:
             raise ValueError("r must exceed 1")
 
 
-def ar_kernel_step(stream: RngStream, x: np.ndarray, config: ArConfig) -> np.ndarray:
-    """One transition: rho x + sqrt(1 - rho^2) xi, xi standard normal."""
-    noise = math.sqrt(1.0 - config.rho**2)
-    return config.rho * x + noise * stream.gen.standard_normal(config.d)
-
-
 def ar_log_weight(x: np.ndarray, config: ArConfig) -> float:
     """Exact log density ratio of N(0, I) over N(0, (1/2+h) I) at x,
     normalizing constants included (both densities are fully known)."""
@@ -69,18 +63,13 @@ def _ar_log_weights(x: np.ndarray, config: ArConfig) -> np.ndarray:
     return 0.5 * config.d * math.log(s) - 0.5 * sq * (1.0 - 1.0 / s)
 
 
-def ar_in_C(x: np.ndarray, config: ArConfig) -> bool:
-    """Membership in the closed ball {|x|^2 <= r d}."""
-    return float(x @ x) <= config.r * config.d
-
-
 class ArModel(ModelBundle):
     """Engine bundle for the autoregressive chain."""
 
     def __init__(self, config: ArConfig):
         self.config = config
         gamma, K, R, w2, _ = ar_drift_constants(config.rho, config.d, config.h, config.r)
-        self.drift = DriftSpec(gamma=gamma, K=K, R=R, geometric=True)
+        self.drift = DriftSpec(gamma=gamma, K=K, R=R)
         self.weight_second_moment = w2  # closed form, for cross-checks
         self._prop_scale = math.sqrt(0.5 + config.h)
         self._noise_scale = math.sqrt(1.0 - config.rho**2)

@@ -70,12 +70,17 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
         merged["workers"] = overrides.workers
     if overrides.out is not None:
         merged["out_dir"] = overrides.out
-    _validate_numeric(merged, "master_seed", int, low=0)
+    _validate_numeric(merged, "master_seed", int, low=0, high=2**64 - 1)
     _validate_numeric(merged, "n_atoms", int, low=1)
     _validate_numeric(merged, "n_chains", int, low=2)
     _validate_numeric(merged, "excursion_cap", int, low=1)
     if merged["workers"] is not None:
         _validate_numeric(merged, "workers", int, low=1)
+    else:
+        try:
+            resolve_workers(None)  # a bad $MSC_WORKERS is an input error
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
     return merged
 
 
@@ -107,16 +112,19 @@ def _ar_config(cfg: dict) -> ArConfig:
         raise ConfigError(f"bad AR parameters: {err}") from None
 
 
-def _logit_posterior(cfg: dict) -> tuple[LogitPosterior, float]:
+def _logit_model(cfg: dict) -> LogitModel:
     block = cfg.get("logit", {})
     if not isinstance(block, dict):
         raise ConfigError("config key 'logit' must be an object")
     data_path = block.get("data_path")
     if not data_path:
         raise ConfigError("config key 'logit.data_path' is required")
-    sigma_scale = float(block.get("sigma_scale", 10.0))
-    h = float(block.get("h", 0.49))
-    r = float(block.get("r", 1.001))
+    try:
+        sigma_scale = float(block.get("sigma_scale", 10.0))
+        h = float(block.get("h", 0.49))
+        r = float(block.get("r", 1.001))
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"bad logit parameters: {err}") from None
     standardize = bool(block.get("standardize", False))
     if sigma_scale <= 0:
         raise ConfigError("logit.sigma_scale must be positive")
@@ -126,9 +134,9 @@ def _logit_posterior(cfg: dict) -> tuple[LogitPosterior, float]:
         raise ConfigError(f"data file not found: {data_path}") from None
     try:
         posterior = LogitPosterior(dataset, sigma_scale * np.eye(dataset.d), h=h)
+        return LogitModel(posterior, r)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    return posterior, r
 
 
 def _ensure_out(cfg: dict) -> str:
@@ -172,13 +180,16 @@ def _write_diagnostics(out: str, payload: dict) -> None:
 
 def cmd_plan(cfg: dict) -> int:
     block = cfg.get("plan", {})
-    eps = float(block.get("eps", 0.1))
-    delta = float(block.get("delta", 0.1))
-    dims = block.get("dims", [1, 5, 10, 15, 20, 25, 30])
     ar = cfg.get("ar", {})
-    rho = float(ar.get("rho", 0.9))
-    h = float(ar.get("h", 0.49))
-    r = float(ar.get("r", 1.5))
+    try:
+        eps = float(block.get("eps", 0.1))
+        delta = float(block.get("delta", 0.1))
+        dims = [int(d) for d in block.get("dims", [1, 5, 10, 15, 20, 25, 30])]
+        rho = float(ar.get("rho", 0.9))
+        h = float(ar.get("h", 0.49))
+        r = float(ar.get("r", 1.5))
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"bad plan parameters: {err}") from None
     if not (0 < eps < 1 and 0 < delta < 1):
         raise ConfigError("plan.eps and plan.delta must lie in (0, 1)")
     out = _ensure_out(cfg)
@@ -186,10 +197,10 @@ def cmd_plan(cfg: dict) -> int:
     header = ["d", "gamma", "K", "R", "gamma_R", "w2", "N_required", "M_required"]
     rows = []
     for d in dims:
-        gamma, K, R, w2, sup_v = bounds.ar_drift_constants(rho, int(d), h, r)
+        gamma, K, R, w2, sup_v = bounds.ar_drift_constants(rho, d, h, r)
         N, M = bounds.plan_sizes(eps, delta, gamma, K, R, w2, sup_v)
         rows.append(
-            [int(d), gamma, K, R, bounds.effective_rate(gamma, K, R), w2, N, M]
+            [d, gamma, K, R, bounds.effective_rate(gamma, K, R), w2, N, M]
         )
     path = os.path.join(out, "plan.csv")
     _write_csv(path, header, rows)
@@ -255,26 +266,31 @@ def cmd_run_ar(cfg: dict) -> int:
 
 
 def cmd_run_logit(cfg: dict) -> int:
-    posterior, r = _logit_posterior(cfg)
-    model = LogitModel(posterior, r)
-    code = _run_model(cfg, model, posterior.dataset.column_names)
-    _maybe_compare(cfg["out_dir"], posterior.dataset.column_names)
+    model = _logit_model(cfg)
+    names = model.posterior.dataset.column_names
+    code = _run_model(cfg, model, names)
+    _maybe_compare(cfg["out_dir"], names)
     return code
 
 
 def _baseline_common(cfg: dict, which: str) -> int:
-    posterior, r = _logit_posterior(cfg)
     block = cfg.get("baseline", {})
-    steps = int(block.get("steps", 100_000))
-    burn_in = int(block.get("burn_in", steps // 10))
+    try:
+        steps = int(block.get("steps", 100_000))
+        burn_in = int(block.get("burn_in", steps // 10))
+        override = block.get("rwm_scale_override")
+        scale_override = None if override is None else float(override)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"bad baseline parameters: {err}") from None
     if not steps > burn_in >= 0:
         raise ConfigError("baseline needs steps > burn_in >= 0")
     start_mode = block.get("start", "atoms")
+    model = _logit_model(cfg)
+    posterior = model.posterior
     out = _ensure_out(cfg)
     _echo_config(cfg, out)
     t0 = time.perf_counter()
 
-    model = LogitModel(posterior, r)
     if start_mode == "atoms":
         atoms = build_initial_distribution(
             model, cfg["n_atoms"], cfg["master_seed"], workers=cfg["workers"]
@@ -291,14 +307,13 @@ def _baseline_common(cfg: dict, which: str) -> int:
     if which == "gibbs":
         res = run_single_chain_gibbs(posterior, steps, burn_in, start, cfg["master_seed"])
     else:
-        override = block.get("rwm_scale_override")
         res = run_rwm(
             posterior,
             steps,
             burn_in,
             start,
             cfg["master_seed"],
-            scale_override=None if override is None else float(override),
+            scale_override=scale_override,
         )
     runtime = time.perf_counter() - t0
     names = posterior.dataset.column_names

@@ -8,6 +8,7 @@ run is bit-reproducible for any worker count.
 """
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 from abc import ABC, abstractmethod
@@ -16,18 +17,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import bounds
 from .rng import CategoricalSampler, RngStream, derive_stream
 
 __all__ = [
     "DriftSpec",
     "ModelBundle",
     "WeightedAtoms",
-    "Excursion",
     "MscResult",
     "CapExceededError",
     "WeightError",
     "build_initial_distribution",
-    "estimate_weight_second_moment",
     "run_excursion",
     "msc_estimate",
     "coordinate_functions",
@@ -64,41 +64,21 @@ class WeightError(ValueError):
 class DriftSpec:
     """Constants (gamma, K, R) of a verified drift inequality.
 
-    ``geometric`` means the drift holds with f equal to the drift function V
-    itself, which is what every bound evaluator here assumes.  The radius R
-    must exceed K / (1 - gamma) so the effective rate gamma + K/R stays
-    below one.
+    The radius R must exceed K / (1 - gamma) so the effective rate
+    gamma + K/R stays below one.
     """
 
     gamma: float
     K: float
     R: float
-    geometric: bool = True
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in [0, 1) (got {self.gamma!r})")
-        if not self.K > 0.0:
-            raise ValueError(f"K must be positive (got {self.K!r})")
-        if not self.R > self.K / (1.0 - self.gamma):
-            raise ValueError(
-                f"R must exceed K/(1-gamma) = {self.K / (1.0 - self.gamma)!r} (got {self.R!r})"
-            )
+        bounds._check_drift(self.gamma, self.K, self.R)
 
     @property
     def effective_rate(self) -> float:
         """gamma + K/R, the contraction rate on the sublevel-set complement."""
-        return self.gamma + self.K / self.R
-
-    @property
-    def bias_amplitude(self) -> float:
-        """gamma * R + 2K - 1, the excursion-sum amplitude (geometric mode)."""
-        return self.gamma * self.R + 2.0 * self.K - 1.0
-
-    @property
-    def mult_amplitude(self) -> float:
-        """gamma * R + 2K, the log-MGF amplitude under a multiplicative drift."""
-        return self.gamma * self.R + 2.0 * self.K
+        return bounds.effective_rate(self.gamma, self.K, self.R)
 
 
 class ModelBundle(ABC):
@@ -143,9 +123,6 @@ class ModelBundle(ABC):
             logw[i - lo] = self.log_weight(atom)
         return np.asarray(atoms), logw
 
-    def in_return_set(self, state: np.ndarray) -> bool:
-        return self.f_value(state) <= self.drift.R
-
 
 @dataclass(frozen=True)
 class WeightedAtoms:
@@ -156,21 +133,6 @@ class WeightedAtoms:
     ess: float
     w2_hat: float  # estimate of the weight second moment under the target
     N: int
-
-
-@dataclass(frozen=True)
-class Excursion:
-    """One chain's path summary up to its first return to the drift set."""
-
-    started_in_C: bool
-    tau: int
-    sums: np.ndarray  # one accumulated sum per test function
-
-    def __post_init__(self):
-        if not self.started_in_C and self.tau != 0:
-            raise ValueError("a skipped excursion must have tau = 0")
-        if self.started_in_C and self.tau < 1:
-            raise ValueError("a started excursion must have tau >= 1")
 
 
 @dataclass(frozen=True)
@@ -196,9 +158,15 @@ def resolve_workers(workers: int | None) -> int:
             raise ValueError("workers must be >= 1")
         return workers
     env = os.environ.get("MSC_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"MSC_WORKERS must be a positive integer (got {env!r})")
+    return workers
 
 
 def _block_ranges(total: int, blocks: int) -> list[tuple[int, int]]:
@@ -213,18 +181,40 @@ def _block_ranges(total: int, blocks: int) -> list[tuple[int, int]]:
     return out
 
 
-# Worker context is installed in module globals before forking so child
-# processes inherit it without pickling the (possibly large) atom array.
+# Worker context, installed in this module global before the pool forks so
+# workers inherit it (atoms and test functions included) without pickling.
 _CTX: dict = {}
 
 
-def _init_ctx(ctx: dict) -> None:  # used with spawn-safe initializer too
+def _map_blocks(
+    fn: Callable[[tuple[int, int]], tuple[np.ndarray, ...]],
+    total: int,
+    ctx: dict,
+    workers: int | None,
+) -> tuple[np.ndarray, ...]:
+    """Run ``fn`` over blocks of range(total) and stack its arrays in block order.
+
+    Blocks arrive in order and are copied straight into outputs allocated
+    from the first block's shapes, so no list of blocks is held next to the
+    result.  The pool always forks, whatever the default start method.
+    """
     global _CTX
+    nworkers = min(resolve_workers(workers), total)
+    ranges = _block_ranges(total, min(nworkers * 4, total))
     _CTX = ctx
+    pool = multiprocessing.get_context("fork").Pool(nworkers) if nworkers > 1 else None
+    with pool or contextlib.nullcontext():
+        parts = pool.imap(fn, ranges) if pool else map(fn, ranges)
+        for (lo, hi), part in zip(ranges, parts):
+            if lo == 0:
+                outs = tuple(np.empty((total, *a.shape[1:]), a.dtype) for a in part)
+            for out, a in zip(outs, part):
+                out[lo:hi] = a
+    return outs
 
 
-def _propose_block(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    return _CTX["model"].propose_block(_CTX["master_seed"], *bounds)
+def _propose_block(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    return _CTX["model"].propose_block(_CTX["master_seed"], *span)
 
 
 def build_initial_distribution(
@@ -241,18 +231,8 @@ def build_initial_distribution(
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    nworkers = min(resolve_workers(workers), N)
-    ranges = _block_ranges(N, max(1, min(nworkers * 4, N)))
     ctx = {"model": model, "master_seed": master_seed}
-    if nworkers == 1:
-        _init_ctx(ctx)
-        parts = [_propose_block(r) for r in ranges]
-    else:
-        _init_ctx(ctx)
-        with multiprocessing.Pool(nworkers, initializer=_init_ctx, initargs=(ctx,)) as pool:
-            parts = pool.map(_propose_block, ranges)
-    atoms = np.concatenate([p[0] for p in parts], axis=0)
-    logw = np.concatenate([p[1] for p in parts])
+    atoms, logw = _map_blocks(_propose_block, N, ctx, workers)
     return _atoms_from_log_weights(atoms, logw)
 
 
@@ -277,43 +257,37 @@ def _atoms_from_log_weights(atoms: np.ndarray, logw: np.ndarray) -> WeightedAtom
     )
 
 
-def estimate_weight_second_moment(atoms: WeightedAtoms) -> float:
-    """N * sum(w~^2) / (sum w~)^2, a consistent estimate of the weight second
-    moment under the target; the unknown normalizing constant cancels."""
-    return atoms.w2_hat
-
-
 def run_excursion(
     model: ModelBundle,
     start: np.ndarray,
     stream: RngStream,
     cap: int,
     functions: Sequence[Callable[[np.ndarray], float]],
-) -> Excursion:
+) -> tuple[int, np.ndarray]:
     """Run one excursion from ``start`` until the chain re-enters the drift set.
 
-    Starts outside the set contribute a zero excursion.  Sums accumulate the
-    test functions at steps 1..tau inclusive (the entering step counts, the
-    start does not).
+    Returns (tau, sums).  A start outside the set is skipped: tau = 0 and the
+    sums are zero.  Sums accumulate the test functions at steps 1..tau
+    inclusive (the entering step counts, the start does not).
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     nfun = len(functions)
-    if model.f_value(start) > model.drift.R:
-        return Excursion(started_in_C=False, tau=0, sums=np.zeros(nfun))
     sums = np.zeros(nfun)
+    if model.f_value(start) > model.drift.R:
+        return 0, sums
     x = start
     for k in range(1, cap + 1):
         x = model.kernel_step(stream, x)
         for j in range(nfun):
             sums[j] += functions[j](x)
         if model.f_value(x) <= model.drift.R:
-            return Excursion(started_in_C=True, tau=k, sums=sums)
+            return k, sums
     raise CapExceededError(cap)
 
 
-def _excursion_block(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    lo, hi = bounds
+def _excursion_block(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    lo, hi = span
     model = _CTX["model"]
     sampler = _CTX["sampler"]
     atoms = _CTX["atoms"]
@@ -321,19 +295,15 @@ def _excursion_block(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, n
     cap = _CTX["cap"]
     sums = np.empty((hi - lo, len(functions)))
     taus = np.zeros(hi - lo, dtype=np.int64)
-    started = np.zeros(hi - lo, dtype=bool)
     stream = derive_stream(_CTX["master_seed"], "chain", lo)
     for m in range(lo, hi):
         stream.rekey(m)
         start = atoms[sampler.sample(stream)]
         try:
-            exc = run_excursion(model, start, stream, cap, functions)
+            taus[m - lo], sums[m - lo] = run_excursion(model, start, stream, cap, functions)
         except CapExceededError as err:
             raise CapExceededError(err.cap, chain_index=m) from None
-        sums[m - lo] = exc.sums
-        taus[m - lo] = exc.tau
-        started[m - lo] = exc.started_in_C
-    return sums, taus, started
+    return sums, taus
 
 
 def msc_estimate(
@@ -363,18 +333,7 @@ def msc_estimate(
         "cap": cap,
         "master_seed": master_seed,
     }
-    nworkers = min(resolve_workers(workers), M)
-    ranges = _block_ranges(M, max(1, min(nworkers * 4, M)))
-    if nworkers == 1:
-        _init_ctx(ctx)
-        parts = [_excursion_block(r) for r in ranges]
-    else:
-        _init_ctx(ctx)
-        with multiprocessing.Pool(nworkers, initializer=_init_ctx, initargs=(ctx,)) as pool:
-            parts = pool.map(_excursion_block, ranges)
-    sums = np.concatenate([p[0] for p in parts], axis=0)
-    taus = np.concatenate([p[1] for p in parts])
-    started = np.concatenate([p[2] for p in parts])
+    sums, taus = _map_blocks(_excursion_block, M, ctx, workers)
 
     # sums is in chain order whatever the worker count, so this reduction and
     # the output files are byte-reproducible; the squared deviations overwrite
@@ -389,7 +348,7 @@ def msc_estimate(
         N=atoms.N,
         mean_tau=float(taus.mean()),
         p95_tau=float(np.percentile(taus, 95)),
-        skip_fraction=float(1.0 - started.mean()),
+        skip_fraction=float(1.0 - (taus > 0).mean()),
         ess=atoms.ess,
         w2_hat=atoms.w2_hat,
         taus=taus,

@@ -32,7 +32,6 @@ __all__ = [
     "proposal_log_weight",
     "draw_omega",
     "pg_gibbs_step",
-    "logit_in_C",
     "LogitModel",
 ]
 
@@ -309,19 +308,6 @@ def pg_gibbs_step(stream: RngStream, beta: np.ndarray, posterior: LogitPosterior
     return mu + solve_triangular(chol.T, z, lower=False)
 
 
-def logit_in_C(beta: np.ndarray, posterior: LogitPosterior, r: float) -> bool:
-    """Membership in the drift ball {|beta|^2 <= r L} of the Gibbs chain."""
-    L = _drift_L(posterior)
-    return float(beta @ beta) <= r * L
-
-
-def _drift_L(posterior: LogitPosterior) -> float:
-    from .bounds import spectral_norm
-
-    score = posterior._score
-    return spectral_norm(posterior.Sigma) ** 2 * float(score @ score)
-
-
 class LogitModel(ModelBundle):
     """Engine bundle: mode-centered proposal + Gibbs kernel + drift ball."""
 
@@ -334,7 +320,7 @@ class LogitModel(ModelBundle):
             posterior.dataset.X, posterior.dataset.y, posterior.Sigma, posterior.h, r
         )
         self.constants = consts
-        self.drift = DriftSpec(gamma=0.0, K=consts["K"], R=consts["R"], geometric=True)
+        self.drift = DriftSpec(gamma=0.0, K=consts["K"], R=consts["R"])
         posterior.beta_star  # force the mode before any worker forks
 
     def propose(self, stream: RngStream) -> np.ndarray:

@@ -88,8 +88,7 @@ def test_acceptance_02_representation_identity():
     for m in range(M):
         stream.rekey(m)
         start = stream.gen.standard_normal(d)  # exact invariant-law start
-        exc = run_excursion(model, start, stream, 1_000_000, functions)
-        sums[m] = exc.sums
+        _, sums[m] = run_excursion(model, start, stream, 1_000_000, functions)
     means = sums.mean(axis=0)
     stderrs = sums.std(axis=0, ddof=1) / math.sqrt(M)
     targets = np.array([0.0, target_ball])

@@ -5,11 +5,16 @@ import pytest
 
 from conftest import bootstrap_stderr
 from mscmc import ar
-from mscmc.ar import ArConfig, ArModel, ar_in_C, ar_kernel_step, ar_log_weight
+from mscmc.ar import ArConfig, ArModel, ar_log_weight
 from mscmc.engine import build_initial_distribution, coordinate_functions, msc_estimate
 from mscmc.rng import derive_stream
 
 CFG = ArConfig(rho=0.9, d=2, h=0.49, r=1.5)
+MODEL = ArModel(CFG)
+
+
+def in_return_set(model, x):
+    return model.f_value(x) <= model.drift.R
 
 
 class TestKernel:
@@ -17,7 +22,7 @@ class TestKernel:
         x = np.array([1.2, -0.7])
         stream = derive_stream(21, "ar", 0)
         n = 100_000
-        steps = np.array([ar_kernel_step(stream, x, CFG) for _ in range(n)])
+        steps = np.array([MODEL.kernel_step(stream, x) for _ in range(n)])
         noise_sd = math.sqrt(1 - CFG.rho**2)
         tol = 4 * noise_sd / math.sqrt(n)
         assert np.all(np.abs(steps.mean(axis=0) - CFG.rho * x) < tol)
@@ -29,7 +34,7 @@ class TestKernel:
         n = 100_000
         vals = np.empty(n)
         for i in range(n):
-            step = ar_kernel_step(stream, x, CFG)
+            step = MODEL.kernel_step(stream, x)
             vals[i] = 1.0 + step @ step
         expect = CFG.rho**2 * (1 + x @ x) + (1 - CFG.rho**2) * (1 + CFG.d)
         se = vals.std(ddof=1) / math.sqrt(n)
@@ -55,7 +60,7 @@ class TestKernel:
             x = 3.0 * gen.standard_normal(CFG.d)
             vals = np.empty(n)
             for i in range(n):
-                step = ar_kernel_step(stream, x, CFG)
+                step = MODEL.kernel_step(stream, x)
                 vals[i] = 1.0 + step @ step
             target = 0.81 * (1 + x @ x) + 0.57
             se = vals.std(ddof=1) / math.sqrt(n)
@@ -87,19 +92,19 @@ class TestLogWeight:
 
 class TestReturnSet:
     def test_origin_inside(self):
-        assert ar_in_C(np.zeros(2), CFG)
+        assert in_return_set(MODEL, np.zeros(2))
 
     def test_boundary_closed(self):
-        cfg = ArConfig(rho=0.9, d=1, h=0.49, r=2.25)
-        assert ar_in_C(np.array([1.5]), cfg)  # |x|^2 == r d exactly
-        assert not ar_in_C(np.array([1.5 + 1e-9]), cfg)
+        model = ArModel(ArConfig(rho=0.9, d=1, h=0.49, r=2.25))
+        assert in_return_set(model, np.array([1.5]))  # |x|^2 == r d exactly
+        assert not in_return_set(model, np.array([1.5 + 1e-9]))
 
     def test_consistent_with_drift_radius(self):
-        model = ArModel(CFG)
+        # the engine's return set is the closed ball {|x|^2 <= r d}
         gen = derive_stream(22, "ar", 2).gen
         for _ in range(200):
             x = 2.0 * gen.standard_normal(CFG.d)
-            assert ar_in_C(x, CFG) == (model.f_value(x) <= model.drift.R)
+            assert in_return_set(MODEL, x) == (float(x @ x) <= CFG.r * CFG.d)
 
     def test_f_value_at_least_one(self):
         model = ArModel(CFG)

@@ -219,6 +219,44 @@ class TestConfigHandling:
             outs.append((out / "estimates.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize(
+        "command, overrides, env",
+        [
+            ("run-logit", {"logit": {"data_path": HEART_PATH, "sigma_scale": "abc"}}, None),
+            ("run-logit", {"logit": {"data_path": HEART_PATH, "r": 0.5}}, None),
+            ("plan", {"plan": {"eps": "abc"}}, None),
+            ("plan", {"plan": {"dims": ["x"]}}, None),
+            ("run-ar", {"master_seed": 2**64}, None),
+            ("baseline-gibbs", {"logit": {"data_path": HEART_PATH}, "baseline": {"steps": "abc"}}, None),
+            (
+                "baseline-rwm",
+                {"logit": {"data_path": HEART_PATH}, "baseline": {"rwm_scale_override": "abc"}},
+                None,
+            ),
+            ("run-ar", {}, "abc"),
+            ("run-ar", {}, "0"),
+        ],
+        ids=[
+            "logit-sigma-scale",
+            "logit-r",
+            "plan-eps",
+            "plan-dims",
+            "seed-above-64-bits",
+            "baseline-steps",
+            "baseline-rwm-scale",
+            "msc-workers-text",
+            "msc-workers-zero",
+        ],
+    )
+    def test_bad_value_exit_2(self, tmp_path, capsys, monkeypatch, command, overrides, env):
+        if env is None:
+            monkeypatch.delenv("MSC_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("MSC_WORKERS", env)
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "out"), **overrides)
+        assert main([command, str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestPgSelftest:
     def test_passes(self, tmp_path, capsys):

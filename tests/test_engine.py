@@ -1,21 +1,24 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mscmc
 from mscmc.ar import ArConfig, ArModel
 from mscmc.engine import (
     CapExceededError,
     DriftSpec,
-    Excursion,
     ModelBundle,
     WeightError,
     _atoms_from_log_weights,
     build_initial_distribution,
     coordinate_functions,
-    estimate_weight_second_moment,
     msc_estimate,
     run_excursion,
 )
@@ -37,8 +40,6 @@ class TestDriftSpec:
     def test_derived_constants(self):
         spec = DriftSpec(gamma=0.81, K=0.57, R=4.0)
         assert spec.effective_rate == pytest.approx(0.9525)
-        assert spec.bias_amplitude == pytest.approx(3.38)
-        assert spec.mult_amplitude == pytest.approx(4.38)
 
 
 class ConstantWeightModel(ModelBundle):
@@ -103,7 +104,7 @@ class TestBuildInitialDistribution:
         atoms = build_initial_distribution(ConstantWeightModel(), 64, master_seed=3, workers=1)
         assert np.all(atoms.norm_weights == 1.0 / 64)
         assert atoms.ess == pytest.approx(64.0)
-        assert estimate_weight_second_moment(atoms) == pytest.approx(1.0)
+        assert atoms.w2_hat == pytest.approx(1.0)
 
     def test_ar_balanced_proposal_weights_uniform(self):
         model = ArModel(ArConfig(rho=0.9, d=2, h=0.5, r=1.5))
@@ -174,40 +175,33 @@ class TestRunExcursion:
     def test_start_outside_returns_zero_excursion(self):
         model = TwoStepCycleModel()
         stream = derive_stream(1, "chain", 0)
-        exc = run_excursion(model, np.array([9.0]), stream, 100, coordinate_functions(1))
-        assert exc.started_in_C is False
-        assert exc.tau == 0
-        assert exc.sums.tolist() == [0.0]
+        tau, sums = run_excursion(model, np.array([9.0]), stream, 100, coordinate_functions(1))
+        assert tau == 0
+        assert sums.tolist() == [0.0]
 
     def test_immediate_return(self):
         model = SingletonModel()
         stream = derive_stream(1, "chain", 1)
-        exc = run_excursion(model, np.array([0.0]), stream, 100, [lambda x: 7.5])
-        assert exc.started_in_C and exc.tau == 1
-        assert exc.sums.tolist() == [7.5]
+        tau, sums = run_excursion(model, np.array([0.0]), stream, 100, [lambda x: 7.5])
+        assert tau == 1
+        assert sums.tolist() == [7.5]
 
     def test_sum_includes_entering_step(self):
         model = TwoStepCycleModel()
         stream = derive_stream(1, "chain", 2)
-        exc = run_excursion(
+        tau, sums = run_excursion(
             model, np.array([0.0]), stream, 100, [lambda x: 1.0, lambda x: float(x[0])]
         )
         # path is 0 -> 5 -> 0: two summed steps, the start is excluded
-        assert exc.tau == 2
-        assert exc.sums[0] == 2.0
-        assert exc.sums[1] == 5.0
+        assert tau == 2
+        assert sums[0] == 2.0
+        assert sums[1] == 5.0
 
     def test_cap_exceeded(self):
         model = NeverReturnModel()
         stream = derive_stream(1, "chain", 3)
         with pytest.raises(CapExceededError):
             run_excursion(model, np.array([0.0]), stream, 5, [])
-
-    def test_excursion_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            Excursion(started_in_C=False, tau=3, sums=np.zeros(1))
-        with pytest.raises(ValueError):
-            Excursion(started_in_C=True, tau=0, sums=np.zeros(1))
 
 
 class RecordingModel(ModelBundle):
@@ -295,10 +289,54 @@ class TestMscEstimate:
             stream.rekey(m)
             start = base.propose(stream)
             model.trace = []
-            exc = run_excursion(model, start, stream, 10_000, [])
-            if exc.started_in_C:
-                assert len(model.trace) == exc.tau
+            tau, _ = run_excursion(model, start, stream, 10_000, [])
+            if tau > 0:
+                assert len(model.trace) == tau
                 assert model.trace[-1] <= R  # entering step
                 assert all(f > R for f in model.trace[:-1])  # strictly outside before
             else:
                 assert model.trace == []
+
+
+START_METHOD_SCRIPT = textwrap.dedent(
+    """
+    import multiprocessing
+
+    import numpy as np
+
+    from mscmc.ar import ArConfig, ArModel
+    from mscmc.engine import build_initial_distribution, msc_estimate
+
+    if __name__ == "__main__":
+        multiprocessing.set_start_method("forkserver", force=True)
+        model = ArModel(ArConfig(rho=0.9, d=2, h=0.49, r=1.5))
+        functions = [lambda x: float(x[0])]
+        runs = []
+        for workers in (1, 2):
+            atoms = build_initial_distribution(model, 2_000, master_seed=3, workers=workers)
+            res = msc_estimate(model, atoms, 400, functions, master_seed=3, workers=workers)
+            runs.append((atoms.norm_weights, res.estimates, res.stderrs, res.taus))
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
+        print("identical")
+    """
+)
+
+
+def test_pool_ignores_default_start_method(tmp_path):
+    # the pool must fork even when the interpreter default is forkserver (the
+    # Linux default from Python 3.14), or lambda test functions cannot reach
+    # the workers; a hang there must fail this test, not stall the suite
+    script = tmp_path / "start_method.py"
+    script.write_text(START_METHOD_SCRIPT)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mscmc.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True, timeout=60, env=env
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("workers=2 run did not finish within 60 s under forkserver")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "identical"

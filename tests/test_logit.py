@@ -16,7 +16,6 @@ from mscmc.logit import (
     draw_omega,
     load_heart_dataset,
     log_unnorm_posterior,
-    logit_in_C,
     map_estimate,
     neg_log_lik,
     neg_log_lik_grad,
@@ -248,28 +247,33 @@ class TestGibbsKernel:
         assert np.all(np.abs(res.estimates - chain.mean) <= 3 * combined)
 
 
+def in_return_set(model, beta):
+    return model.f_value(beta) <= model.drift.R
+
+
 class TestReturnSet:
     def test_origin_inside(self, small_synthetic_posterior):
-        assert logit_in_C(np.zeros(2), small_synthetic_posterior, r=1.5)
+        assert in_return_set(LogitModel(small_synthetic_posterior, r=1.5), np.zeros(2))
 
     def test_matches_drift_radius(self, small_synthetic_posterior):
+        # the engine's return set is the drift ball {|beta|^2 <= r L}
         post = small_synthetic_posterior
         model = LogitModel(post, r=1.5)
         L = model.constants["L"]
+        score = post.dataset.X.T @ (post.dataset.y - 0.5)
+        assert L == pytest.approx(spectral_norm(post.Sigma) ** 2 * float(score @ score))
         gen = derive_stream(36, "set", 0).gen
         for _ in range(50):
             beta = math.sqrt(L) * 1.3 * gen.standard_normal(post.d)
-            inside = logit_in_C(beta, post, 1.5)
-            assert inside == (float(beta @ beta) <= 1.5 * L)
-            assert inside == (model.f_value(beta) <= model.drift.R)
+            assert in_return_set(model, beta) == (float(beta @ beta) <= 1.5 * L)
 
     def test_boundary_inclusive(self, small_synthetic_posterior):
         post = small_synthetic_posterior
         model = LogitModel(post, r=1.5)
         L = model.constants["L"]
         radius = math.sqrt(1.5 * L)
-        assert logit_in_C(np.array([radius * (1 - 1e-12), 0.0]), post, 1.5)
-        assert not logit_in_C(np.array([radius * (1 + 1e-9), 0.0]), post, 1.5)
+        assert in_return_set(model, np.array([radius * (1 - 1e-12), 0.0]))
+        assert not in_return_set(model, np.array([radius * (1 + 1e-9), 0.0]))
 
 
 class TestHeartLoader:
