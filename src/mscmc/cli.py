@@ -30,7 +30,7 @@ from .engine import (
     resolve_workers,
 )
 from .logit import DataFormatError, LogitModel, LogitPosterior, load_heart_dataset
-from .rng import derive_stream, sample_polya_gamma
+from .rng import derive_stream, sample_polya_gamma_batch
 
 SCHEMA_VERSION = "msc-output-1"
 
@@ -125,7 +125,9 @@ def _logit_model(cfg: dict) -> LogitModel:
         r = float(block.get("r", 1.001))
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad logit parameters: {err}") from None
-    standardize = bool(block.get("standardize", False))
+    standardize = block.get("standardize", False)
+    if not isinstance(standardize, bool):
+        raise ConfigError(f"logit.standardize must be true or false (got {standardize!r})")
     if sigma_scale <= 0:
         raise ConfigError("logit.sigma_scale must be positive")
     try:
@@ -188,20 +190,20 @@ def cmd_plan(cfg: dict) -> int:
         rho = float(ar.get("rho", 0.9))
         h = float(ar.get("h", 0.49))
         r = float(ar.get("r", 1.5))
+        drift = [bounds.ar_drift_constants(rho, d, h, r) for d in dims]
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad plan parameters: {err}") from None
     if not (0 < eps < 1 and 0 < delta < 1):
         raise ConfigError("plan.eps and plan.delta must lie in (0, 1)")
-    out = _ensure_out(cfg)
-    _echo_config(cfg, out)
     header = ["d", "gamma", "K", "R", "gamma_R", "w2", "N_required", "M_required"]
     rows = []
-    for d in dims:
-        gamma, K, R, w2, sup_v = bounds.ar_drift_constants(rho, d, h, r)
+    for d, (gamma, K, R, w2, sup_v) in zip(dims, drift):
         N, M = bounds.plan_sizes(eps, delta, gamma, K, R, w2, sup_v)
         rows.append(
             [d, gamma, K, R, bounds.effective_rate(gamma, K, R), w2, N, M]
         )
+    out = _ensure_out(cfg)
+    _echo_config(cfg, out)
     path = os.path.join(out, "plan.csv")
     _write_csv(path, header, rows)
     print(",".join(header))
@@ -392,7 +394,7 @@ def cmd_pg_selftest(cfg: dict) -> int:
     stream = derive_stream(cfg["master_seed"], "pg-selftest", 0)
     ok = True
     for b, target in ((0.0, 0.25), (1.0, math.tanh(0.5) / 2.0)):
-        draws = np.array([sample_polya_gamma(stream, b) for _ in range(n)])
+        draws = sample_polya_gamma_batch(stream, np.full(n, b))
         err = abs(float(draws.mean()) - target)
         # 5-sigma band on the sample mean
         band = 5.0 * float(draws.std(ddof=1)) / math.sqrt(n)

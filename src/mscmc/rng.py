@@ -1,4 +1,4 @@
-"""Deterministic splittable random streams and primitive distribution samplers.
+"""Deterministic splittable random streams and the samplers built on them.
 
 Streams are counter-based (Philox 4x64) and derived in O(1) from a triple
 (master_seed, label, index), so the draw sequence of any stream is fixed
@@ -7,7 +7,12 @@ hashed with FNV-1a 64-bit; the Philox key words are
 (master_seed XOR fnv1a64(label), index).  Because Philox is a pure function
 of (key, counter), ``stream_words`` computes the leading words of a whole
 range of streams in one vectorised pass, bit-identical to drawing them from
-each stream in turn.
+each stream in turn, and ``open_uniform`` maps those words into (0, 1).
+
+Two samplers draw from a stream: ``CategoricalSampler``, an inverse-CDF
+sampler over the restart weights, and ``sample_polya_gamma_batch``, exact
+PG(1, b) draws for a whole vector of tilts (the latent step of the
+logistic Gibbs kernel).
 """
 from __future__ import annotations
 
@@ -22,11 +27,7 @@ __all__ = [
     "fnv1a64",
     "stream_words",
     "open_uniform",
-    "sample_std_normal",
-    "sample_mvn",
     "CategoricalSampler",
-    "sample_categorical",
-    "sample_polya_gamma",
     "sample_polya_gamma_batch",
     "SamplerError",
 ]
@@ -161,23 +162,6 @@ def open_uniform(words: np.ndarray) -> np.ndarray:
     return ((words >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
 
 
-def sample_std_normal(stream: RngStream) -> float:
-    """One standard normal variate."""
-    return float(stream.gen.standard_normal())
-
-
-def sample_mvn(stream: RngStream, mean: np.ndarray, chol_factor: np.ndarray) -> np.ndarray:
-    """Draw mean + chol_factor @ z with z a standard normal vector.
-
-    ``chol_factor`` must be lower-triangular with nonnegative diagonal
-    (a zero factor degenerates to the mean).
-    """
-    if not np.all(np.isfinite(chol_factor)):
-        raise ValueError("non-finite entries in Cholesky factor")
-    z = stream.gen.standard_normal(len(mean))
-    return mean + chol_factor @ z
-
-
 class CategoricalSampler:
     """Inverse-CDF sampler over a fixed probability vector.
 
@@ -207,115 +191,22 @@ class CategoricalSampler:
         return min(k, self.last)
 
 
-def sample_categorical(stream: RngStream, weights: np.ndarray) -> int:
-    """Draw an index i with probability weights[i] (weights sum to 1)."""
-    return CategoricalSampler(weights).sample(stream)
-
-
 # ---------------------------------------------------------------------------
-# Exact Polya-Gamma PG(1, b) sampling.
+# Exact Polya-Gamma PG(1, b) sampling (Polson, Scott & Windle, JASA 2013).
 #
-# Accept-reject for the exponentially tilted Jacobi distribution via the
-# alternating series bounds, with a mixture proposal of a truncated
-# exponential (right of t = 0.64) and a truncated inverse-Gaussian (left).
-# A PG(1, b) draw is a Jacobi draw at tilt b/2, divided by 4.
+# A PG(1, b) draw is a Jacobi draw at tilt z = b/2, divided by 4.  Jacobi
+# draws are proposed from a mixture of a truncated exponential (right of
+# t = 0.64) and a truncated inverse-Gaussian (left of t), and accepted or
+# rejected by the alternating series for the density, whose partial sums
+# bound it from above and below in turn.  Each round draws for every
+# still-pending tilt at once and keeps the accepted ones.
 # ---------------------------------------------------------------------------
 
 _PG_TRUNC = 0.64
 
 
-def _jacobi_coef(n: int, x: float) -> float:
+def _jacobi_coefs(n: int, x: np.ndarray) -> np.ndarray:
     # piecewise n-th coefficient of the alternating series for the density at x
-    if x <= _PG_TRUNC:
-        return (
-            math.pi
-            * (n + 0.5)
-            * (2.0 / math.pi / x) ** 1.5
-            * math.exp(-2.0 * (n + 0.5) ** 2 / x)
-        )
-    return math.pi * (n + 0.5) * math.exp(-((n + 0.5) ** 2) * math.pi**2 * x / 2.0)
-
-
-def _right_branch_prob(z: float) -> float:
-    # probability that the mixture proposal uses the truncated-exponential branch;
-    # log_ndtr keeps the normal log-CDF exact far into the lower tail
-    from scipy.special import log_ndtr
-
-    t = _PG_TRUNC
-    rate = math.pi**2 / 8.0 + z * z / 2.0
-    b = math.sqrt(1.0 / t) * (t * z - 1.0)
-    a = -math.sqrt(1.0 / t) * (t * z + 1.0)
-    x0 = math.log(rate) + rate * t
-    xb = x0 - z + float(log_ndtr(b))
-    xa = x0 + z + float(log_ndtr(a))
-    log_qdivp = math.log(4.0 / math.pi) + np.logaddexp(xb, xa)
-    if log_qdivp > 0.0:
-        return math.exp(-log_qdivp) / (1.0 + math.exp(-log_qdivp))
-    return 1.0 / (1.0 + math.exp(log_qdivp))
-
-
-def _trunc_inv_gauss(gen: Generator, z: float) -> float:
-    # inverse-Gaussian(mu=1/z, lambda=1) conditioned on (0, t]
-    t = _PG_TRUNC
-    if z < 1.0 / t:
-        # large mean: propose 1/X from a scaled chi-square tail, thin by exp tilt
-        for _ in range(MAX_REJECT_ITERS):
-            e1 = gen.standard_exponential()
-            e2 = gen.standard_exponential()
-            while e1 * e1 > 2.0 * e2 / t:
-                e1 = gen.standard_exponential()
-                e2 = gen.standard_exponential()
-            x = t / (1.0 + t * e1) ** 2
-            if z == 0.0 or gen.random() <= math.exp(-0.5 * z * z * x):
-                return x
-        raise SamplerError("truncated inverse-Gaussian rejection cap exceeded")
-    mu = 1.0 / z
-    for _ in range(MAX_REJECT_ITERS):
-        y = gen.standard_normal() ** 2
-        x = mu + 0.5 * mu * mu * y - 0.5 * mu * math.sqrt(4.0 * mu * y + (mu * y) ** 2)
-        if gen.random() > mu / (mu + x):
-            x = mu * mu / x
-        if x <= t:
-            return x
-    raise SamplerError("truncated inverse-Gaussian rejection cap exceeded")
-
-
-def sample_polya_gamma(stream: RngStream, b: float) -> float:
-    """One exact draw from PG(1, b), b >= 0.  Output is strictly positive."""
-    if not (b >= 0.0) or not math.isfinite(b):
-        raise ValueError(f"b must be finite and nonnegative (got {b!r})")
-    gen = stream.gen
-    z = b / 2.0
-    rate = math.pi**2 / 8.0 + z * z / 2.0
-    p_right = _right_branch_prob(z)
-    for _ in range(MAX_REJECT_ITERS):
-        if gen.random() < p_right:
-            x = _PG_TRUNC + gen.standard_exponential() / rate
-        else:
-            x = _trunc_inv_gauss(gen, z)
-        # squeeze via partial sums of the alternating series
-        s = _jacobi_coef(0, x)
-        y = gen.random() * s
-        n = 0
-        while True:
-            n += 1
-            if n & 1:
-                s -= _jacobi_coef(n, x)
-                if y <= s:
-                    return x / 4.0
-            else:
-                s += _jacobi_coef(n, x)
-                if y > s:
-                    break
-    raise SamplerError("PG(1, b) accept-reject cap exceeded")
-
-
-# Vectorized variant, used by the Gibbs kernel where thousands of PG draws
-# per step dominate the cost.  Same proposal and series tests as the scalar
-# sampler, applied to whole index sets at once.
-
-
-def _jacobi_coef_vec(n: int, x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     left = x <= _PG_TRUNC
     xl = x[left]
@@ -327,7 +218,9 @@ def _jacobi_coef_vec(n: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _right_branch_prob_vec(z: np.ndarray) -> np.ndarray:
+def _right_branch_probs(z: np.ndarray) -> np.ndarray:
+    # probability that the mixture proposal uses the truncated-exponential branch;
+    # log_ndtr keeps the normal log-CDF exact far into the lower tail
     from scipy.special import log_ndtr
 
     t = _PG_TRUNC
@@ -336,23 +229,23 @@ def _right_branch_prob_vec(z: np.ndarray) -> np.ndarray:
     a = -math.sqrt(1.0 / t) * (t * z + 1.0)
     x0 = np.log(rate) + rate * t
     log_qdivp = math.log(4.0 / math.pi) + np.logaddexp(x0 - z + log_ndtr(b), x0 + z + log_ndtr(a))
-    out = np.empty_like(z)
-    big = log_qdivp > 0.0
-    out[big] = np.exp(-log_qdivp[big]) / (1.0 + np.exp(-log_qdivp[big]))
-    out[~big] = 1.0 / (1.0 + np.exp(log_qdivp[~big]))
-    return out
+    # the logistic function at -log_qdivp, with exp only of nonpositive values
+    e = np.exp(-np.abs(log_qdivp))
+    return np.where(log_qdivp > 0.0, e, 1.0) / (1.0 + e)
 
 
-def _trunc_inv_gauss_vec(gen: Generator, z: np.ndarray) -> np.ndarray:
+def _trunc_inv_gauss_draws(gen: Generator, z: np.ndarray) -> np.ndarray:
+    # inverse-Gaussian(mu=1/z, lambda=1) conditioned on (0, t]
     t = _PG_TRUNC
     out = np.empty_like(z)
     big_mu = z < 1.0 / t
 
+    # large mean: propose 1/X from a scaled chi-square tail, thin by exp tilt
     idx = np.flatnonzero(big_mu)
-    zi = z[idx]
     for _ in range(MAX_REJECT_ITERS):
         if idx.size == 0:
             break
+        zi = z[idx]
         e1 = gen.standard_exponential(idx.size)
         e2 = gen.standard_exponential(idx.size)
         ok_prop = e1 * e1 <= 2.0 * e2 / t
@@ -360,17 +253,16 @@ def _trunc_inv_gauss_vec(gen: Generator, z: np.ndarray) -> np.ndarray:
         accept = ok_prop & (gen.random(idx.size) <= np.exp(-0.5 * zi * zi * x))
         out[idx[accept]] = x[accept]
         idx = idx[~accept]
-        zi = z[idx]
     else:
         raise SamplerError("truncated inverse-Gaussian rejection cap exceeded")
 
+    # small mean: inverse-Gaussian by the Michael-Schucany-Haas root choice,
+    # kept when it lands in (0, t]
     idx = np.flatnonzero(~big_mu)
-    mu = np.empty_like(z)
-    mu[~big_mu] = 1.0 / z[~big_mu]
     for _ in range(MAX_REJECT_ITERS):
         if idx.size == 0:
             break
-        mi = mu[idx]
+        mi = 1.0 / z[idx]
         y = gen.standard_normal(idx.size) ** 2
         x = mi + 0.5 * mi * mi * y - 0.5 * mi * np.sqrt(4.0 * mi * y + (mi * y) ** 2)
         flip = gen.random(idx.size) > mi / (mi + x)
@@ -393,7 +285,7 @@ def sample_polya_gamma_batch(stream: RngStream, b: np.ndarray) -> np.ndarray:
     gen = stream.gen
     z = b / 2.0
     rate = math.pi**2 / 8.0 + z * z / 2.0
-    p_right = _right_branch_prob_vec(z)
+    p_right = _right_branch_probs(z)
 
     out = np.empty_like(z)
     pending = np.arange(z.size)
@@ -404,17 +296,16 @@ def sample_polya_gamma_batch(stream: RngStream, b: np.ndarray) -> np.ndarray:
         right = gen.random(k) < p_right[pending]
         x = np.empty(k)
         x[right] = _PG_TRUNC + gen.standard_exponential(int(right.sum())) / rate[pending[right]]
-        if np.any(~right):
-            x[~right] = _trunc_inv_gauss_vec(gen, z[pending[~right]])
+        x[~right] = _trunc_inv_gauss_draws(gen, z[pending[~right]])
 
-        s = _jacobi_coef_vec(0, x)
+        s = _jacobi_coefs(0, x)
         y = gen.random(k) * s
         undecided = np.arange(k)
         accepted = np.zeros(k, dtype=bool)
         n = 0
         while undecided.size:
             n += 1
-            term = _jacobi_coef_vec(n, x[undecided])
+            term = _jacobi_coefs(n, x[undecided])
             if n & 1:
                 s[undecided] -= term
                 acc = y[undecided] <= s[undecided]

@@ -49,7 +49,7 @@ from mscmc.logit import (
     pg_gibbs_step,
     proposal_sample,
 )
-from mscmc.rng import CategoricalSampler, derive_stream, sample_polya_gamma
+from mscmc.rng import CategoricalSampler, derive_stream, sample_polya_gamma_batch
 
 AR_CFG = ArConfig(rho=0.9, d=2, h=0.49, r=1.5)
 
@@ -204,13 +204,13 @@ def test_acceptance_06_pg_sampler_correctness():
     ok = True
     for b, target in ((0.0, 0.25), (1.0, math.tanh(0.5) / 2.0)):
         stream = derive_stream(106, "pg-mean", int(b))
-        draws = np.array([sample_polya_gamma(stream, b) for _ in range(1_000_000)])
+        draws = sample_polya_gamma_batch(stream, np.full(1_000_000, b))
         err = abs(float(draws.mean()) - target)
         ok = ok and err < 0.002
         details.append(f"mean(b={b:g}) err={err:.2e}")
     for b in (0.0, 1.0):
         stream = derive_stream(106, "pg-ks", int(b))
-        exact = np.array([sample_polya_gamma(stream, b) for _ in range(100_000)])
+        exact = sample_polya_gamma_batch(stream, np.full(100_000, b))
         oracle = pg_series_draws(derive_stream(107, "pg-oracle", int(b)).gen, b, 100_000)
         p = ks_2samp(exact, oracle).pvalue
         ok = ok and p > 0.001

@@ -226,6 +226,9 @@ class TestConfigHandling:
             ("run-logit", {"logit": {"data_path": HEART_PATH, "r": 0.5}}, None),
             ("plan", {"plan": {"eps": "abc"}}, None),
             ("plan", {"plan": {"dims": ["x"]}}, None),
+            ("plan", {"plan": {"dims": [0]}}, None),
+            ("plan", {"ar": {"rho": 1.5}}, None),
+            ("run-logit", {"logit": {"data_path": HEART_PATH, "standardize": "no"}}, None),
             ("run-ar", {"master_seed": 2**64}, None),
             ("baseline-gibbs", {"logit": {"data_path": HEART_PATH}, "baseline": {"steps": "abc"}}, None),
             (
@@ -241,6 +244,9 @@ class TestConfigHandling:
             "logit-r",
             "plan-eps",
             "plan-dims",
+            "plan-dims-zero",
+            "plan-ar-rho",
+            "logit-standardize-text",
             "seed-above-64-bits",
             "baseline-steps",
             "baseline-rwm-scale",
@@ -256,6 +262,7 @@ class TestConfigHandling:
         cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "out"), **overrides)
         assert main([command, str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestPgSelftest:

@@ -180,6 +180,15 @@ class TestProposal:
         b = proposal_sample(small_synthetic_posterior, derive_stream(34, "prop", 0))
         assert np.array_equal(a, b)
 
+    def test_mean_and_covariance(self, small_synthetic_posterior):
+        # N(beta*, (1/2 + h) Sigma) with Sigma = 10 I and h = 0.49
+        post = small_synthetic_posterior
+        stream = derive_stream(3, "mvn", 1)
+        draws = np.array([proposal_sample(post, stream) for _ in range(100_000)])
+        assert np.all(np.abs(draws.mean(axis=0) - post.beta_star) < 0.05)
+        cov = np.cov(draws.T) / ((0.5 + post.h) * 10.0)
+        assert np.all(np.abs(cov - np.eye(post.d)) < 0.05)
+
     def test_log_weight_finite_everywhere(self, small_synthetic_posterior):
         post = small_synthetic_posterior
         gen = derive_stream(34, "prop", 1).gen

@@ -12,11 +12,7 @@ from mscmc.rng import (
     derive_stream,
     fnv1a64,
     open_uniform,
-    sample_categorical,
-    sample_mvn,
-    sample_polya_gamma,
     sample_polya_gamma_batch,
-    sample_std_normal,
     stream_words,
 )
 
@@ -119,44 +115,12 @@ class TestStdNormal:
         assert abs(draws.mean()) < 0.005
         assert abs(draws.var() - 1.0) < 0.01
 
-    def test_scalar_api_and_determinism(self):
-        a = sample_std_normal(derive_stream(7, "normal", 1))
-        b = sample_std_normal(derive_stream(7, "normal", 1))
-        assert a == b
-        assert isinstance(a, float)
-
-
-class TestMvn:
-    def test_zero_factor_returns_mean(self):
-        stream = derive_stream(3, "mvn", 0)
-        mean = np.array([1.5, -2.0, 0.25])
-        out = sample_mvn(stream, mean, np.zeros((3, 3)))
-        assert np.array_equal(out, mean)
-
-    def test_identity_factor_covariance(self):
-        stream = derive_stream(3, "mvn", 1)
-        d, n = 3, 100_000
-        draws = np.array([sample_mvn(stream, np.zeros(d), np.eye(d)) for _ in range(n)])
-        cov = np.cov(draws.T)
-        assert np.all(np.abs(cov - np.eye(d)) < 0.05)
-
-    def test_diagonal_scale(self):
-        stream = derive_stream(3, "mvn", 2)
-        draws = np.array(
-            [sample_mvn(stream, np.zeros(1), 2.0 * np.eye(1))[0] for _ in range(100_000)]
-        )
-        assert abs(draws.var() - 4.0) < 0.1
-
-    def test_nonfinite_factor_rejected(self):
-        stream = derive_stream(3, "mvn", 3)
-        with pytest.raises(ValueError):
-            sample_mvn(stream, np.zeros(2), np.array([[1.0, 0.0], [np.nan, 1.0]]))
-
 
 class TestCategorical:
     def test_single_atom(self):
         stream = derive_stream(5, "cat", 0)
-        assert all(sample_categorical(stream, np.array([1.0])) == 0 for _ in range(50))
+        sampler = CategoricalSampler(np.array([1.0]))
+        assert all(sampler.sample(stream) == 0 for _ in range(50))
 
     def test_fair_coin_frequency(self):
         stream = derive_stream(5, "cat", 1)
@@ -223,24 +187,18 @@ def pg_true_mean(b: float) -> float:
 class TestPolyaGamma:
     def test_mean_b0(self):
         stream = derive_stream(11, "pg", 0)
-        draws = np.array([sample_polya_gamma(stream, 0.0) for _ in range(1_000_000)])
+        draws = sample_polya_gamma_batch(stream, np.full(1_000_000, 0.0))
         assert abs(draws.mean() - 0.25) < 0.002
 
     def test_mean_b1(self):
         stream = derive_stream(11, "pg", 1)
-        draws = np.array([sample_polya_gamma(stream, 1.0) for _ in range(1_000_000)])
+        draws = sample_polya_gamma_batch(stream, np.full(1_000_000, 1.0))
         assert abs(draws.mean() - pg_true_mean(1.0)) < 0.002
 
     def test_strictly_positive(self):
         stream = derive_stream(11, "pg", 2)
         for b in (0.0, 0.3, 2.0, 25.0, 300.0):
-            assert all(sample_polya_gamma(stream, b) > 0.0 for _ in range(2_000))
-
-    def test_invalid_b(self):
-        stream = derive_stream(11, "pg", 3)
-        for bad in (-0.5, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                sample_polya_gamma(stream, bad)
+            assert np.all(sample_polya_gamma_batch(stream, np.full(2_000, b)) > 0.0)
 
     @pytest.mark.parametrize("b", [0.0, 0.5, 1.0, 3.0])
     def test_ks_against_series_oracle(self, b):
@@ -248,7 +206,7 @@ class TestPolyaGamma:
 
         n = 100_000
         stream = derive_stream(13, "pg-ks", int(b * 10))
-        exact = np.array([sample_polya_gamma(stream, b) for _ in range(n)])
+        exact = sample_polya_gamma_batch(stream, np.full(n, b))
         oracle = pg_series_draws(derive_stream(17, "pg-oracle", int(b * 10)).gen, b, n)
         assert ks_2samp(exact, oracle).pvalue > 0.001
 
@@ -259,10 +217,7 @@ class TestPolyaGamma:
         from pg_oracle import pg_series_draws
 
         n = 60_000
-        stream = derive_stream(13, "pg-ks-large", int(b))
-        exact = np.array([sample_polya_gamma(stream, b) for _ in range(n)])
         oracle = pg_series_draws(derive_stream(17, "pg-oracle-large", int(b)).gen, b, n)
-        assert ks_2samp(exact, oracle).pvalue > 0.001
         batch = sample_polya_gamma_batch(
             derive_stream(13, "pg-ks-large-batch", int(b)), np.full(n, b)
         )
@@ -271,15 +226,6 @@ class TestPolyaGamma:
     def test_batch_empty_input(self):
         out = sample_polya_gamma_batch(derive_stream(19, "pg-batch", 4), np.array([]))
         assert out.shape == (0,)
-
-    def test_batch_matches_scalar_distribution(self):
-        n = 100_000
-        stream = derive_stream(19, "pg-batch", 0)
-        batch = sample_polya_gamma_batch(stream, np.full(n, 1.0))
-        scalar_stream = derive_stream(19, "pg-scalar", 0)
-        scalar = np.array([sample_polya_gamma(scalar_stream, 1.0) for _ in range(n)])
-        assert ks_2samp(batch, scalar).pvalue > 0.001
-        assert abs(batch.mean() - pg_true_mean(1.0)) < 0.005
 
     def test_batch_mixed_tilts(self):
         stream = derive_stream(19, "pg-batch", 1)
@@ -297,6 +243,9 @@ class TestPolyaGamma:
             sample_polya_gamma_batch(stream, np.array([0.5, -1.0]))
         with pytest.raises(ValueError):
             sample_polya_gamma_batch(stream, np.array([[1.0]]))
+        for bad in (-0.5, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                sample_polya_gamma_batch(stream, np.array([bad]))
 
     def test_batch_deterministic(self):
         a = sample_polya_gamma_batch(derive_stream(19, "pg-batch", 3), np.full(100, 2.0))
