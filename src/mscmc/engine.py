@@ -8,7 +8,6 @@ run is bit-reproducible for any worker count.
 """
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
 import os
 from abc import ABC, abstractmethod
@@ -197,19 +196,34 @@ def _map_blocks(
     Blocks arrive in order and are copied straight into outputs allocated
     from the first block's shapes, so no list of blocks is held next to the
     result.  The pool always forks, whatever the default start method.
+
+    The pool is closed and joined, never terminated: when a block raises,
+    the other workers may still be writing results, and ``Pool.terminate``
+    can kill one while it holds the result queue's lock, which deadlocks
+    the pool's task handler.  Joining lets the queued blocks drain first.
+    Only an interrupt terminates the pool: Ctrl-C reaches the workers too,
+    their blocks never report back, and a join would wait for them forever.
     """
     global _CTX
     nworkers = min(resolve_workers(workers), total)
     ranges = _block_ranges(total, min(nworkers * 4, total))
     _CTX = ctx
     pool = multiprocessing.get_context("fork").Pool(nworkers) if nworkers > 1 else None
-    with pool or contextlib.nullcontext():
+    try:
         parts = pool.imap(fn, ranges) if pool else map(fn, ranges)
         for (lo, hi), part in zip(ranges, parts):
             if lo == 0:
                 outs = tuple(np.empty((total, *a.shape[1:]), a.dtype) for a in part)
             for out, a in zip(outs, part):
                 out[lo:hi] = a
+    except KeyboardInterrupt:
+        if pool:
+            pool.terminate()
+        raise
+    finally:
+        if pool:
+            pool.close()
+            pool.join()
     return outs
 
 

@@ -1,4 +1,5 @@
 import math
+import multiprocessing.pool
 import os
 import subprocess
 import sys
@@ -259,6 +260,19 @@ class TestMscEstimate:
         assert err.value.cap == 3
         assert err.value.chain_index is not None
         assert str(err.value).count("no return") == 1
+
+    def test_cap_error_drains_pool_without_terminate(self, monkeypatch):
+        # Pool.terminate can kill a worker that holds the result queue's lock
+        # and deadlock the pool, so a failing map must close and join instead
+        def refuse(pool):
+            raise AssertionError("pool terminated")
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", refuse)
+        model = NeverReturnModel()
+        atoms = build_initial_distribution(model, 2, master_seed=2, workers=1)
+        with pytest.raises(CapExceededError):
+            msc_estimate(model, atoms, 8, [], master_seed=2, cap=3, workers=2)
+        assert multiprocessing.active_children() == []
 
     def test_worker_counts_bit_identical(self):
         model = ArModel(ArConfig(rho=0.9, d=2, h=0.49, r=1.5))

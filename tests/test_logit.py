@@ -189,6 +189,19 @@ class TestProposal:
         cov = np.cov(draws.T) / ((0.5 + post.h) * 10.0)
         assert np.all(np.abs(cov - np.eye(post.d)) < 0.05)
 
+    def test_diagonal_scale(self, tiny_symmetric_posterior):
+        # Sigma = 4 and h = 0.01: variance (1/2 + h) * 4 = 2.04, far from Sigma's 4
+        post = LogitPosterior(tiny_symmetric_posterior.dataset, np.array([[4.0]]), h=0.01)
+        stream = derive_stream(3, "mvn", 2)
+        draws = np.array([proposal_sample(post, stream)[0] for _ in range(100_000)])
+        assert abs(draws.var() - 2.04) < 0.1
+
+    def test_nonfinite_sigma_rejected(self):
+        # no proposal factor is ever built from a non-finite prior covariance
+        ds = Dataset(X=np.ones((2, 2)), y=np.array([1.0, 0.0]), column_names=["a", "b"])
+        with pytest.raises(ValueError):
+            LogitPosterior(ds, np.array([[1.0, 0.0], [np.nan, 1.0]]))
+
     def test_log_weight_finite_everywhere(self, small_synthetic_posterior):
         post = small_synthetic_posterior
         gen = derive_stream(34, "prop", 1).gen
