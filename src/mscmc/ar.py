@@ -46,21 +46,23 @@ class ArConfig:
 def ar_log_weight(x: np.ndarray, config: ArConfig) -> float:
     """Exact log density ratio of N(0, I) over N(0, (1/2+h) I) at x,
     normalizing constants included (both densities are fully known)."""
-    s = 0.5 + config.h
-    sq = 0.0
-    for v in np.asarray(x, dtype=float).tolist():
-        sq += v * v
-    return 0.5 * config.d * math.log(s) - 0.5 * sq * (1.0 - 1.0 / s)
+    return float(_ar_log_weights(np.asarray(x, dtype=float), config))
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    # squared norm of a state, or of each row of an (n, d) array, summed one
+    # coordinate at a time: a row gives the same value alone or in a block
+    cols = x.T
+    sq = cols[0] * cols[0]
+    for c in cols[1:]:
+        sq += c * c
+    return sq
 
 
 def _ar_log_weights(x: np.ndarray, config: ArConfig) -> np.ndarray:
-    # ar_log_weight of each row of an (n, d) array, bit for bit: the squared
-    # norm accumulates one column at a time, in ar_log_weight's order
+    # ar_log_weight of a state or of each row of an (n, d) array
     s = 0.5 + config.h
-    sq = x[:, 0] * x[:, 0]
-    for j in range(1, x.shape[1]):
-        sq += x[:, j] * x[:, j]
-    return 0.5 * config.d * math.log(s) - 0.5 * sq * (1.0 - 1.0 / s)
+    return 0.5 * config.d * math.log(s) - 0.5 * _sq_norms(x) * (1.0 - 1.0 / s)
 
 
 class ArModel(ModelBundle):
@@ -73,6 +75,7 @@ class ArModel(ModelBundle):
         self.weight_second_moment = w2  # closed form, for cross-checks
         self._prop_scale = math.sqrt(0.5 + config.h)
         self._noise_scale = math.sqrt(1.0 - config.rho**2)
+        self.words_per_step = config.d
 
     def propose(self, stream: RngStream) -> np.ndarray:
         return self._atoms(stream.gen.bit_generator.random_raw(self.config.d))
@@ -89,7 +92,8 @@ class ArModel(ModelBundle):
         logw = np.empty(hi - lo)
         for start in range(lo, hi, _BLOCK_KEYS):
             stop = min(start + _BLOCK_KEYS, hi)
-            words = stream_words(master_seed, ATOM_LABEL, start, stop, self.config.d)
+            index = np.uint64(start) + np.arange(stop - start, dtype=np.uint64)
+            words = stream_words(master_seed, ATOM_LABEL, index, self.config.d)
             block = self._atoms(words)
             atoms[start - lo : stop - lo] = block
             logw[start - lo : stop - lo] = _ar_log_weights(block, self.config)
@@ -103,9 +107,22 @@ class ArModel(ModelBundle):
         return self._prop_scale * ndtri(open_uniform(words))
 
     def kernel_step(self, stream: RngStream, state: np.ndarray) -> np.ndarray:
-        return self.config.rho * state + self._noise_scale * stream.gen.standard_normal(
-            self.config.d
-        )
+        return self.kernel_block(state, stream.gen.bit_generator.random_raw(self.config.d))
+
+    def kernel_block(self, states: np.ndarray, words: np.ndarray) -> np.ndarray:
+        """rho x + sqrt(1 - rho^2) z for a state or each row of states, z the
+        normal inverse CDF of one word per coordinate (the same fixed
+        consumption as the atoms)."""
+        from scipy.special import ndtri
+
+        z = open_uniform(words)
+        ndtri(z, out=z)
+        z *= self._noise_scale
+        z += self.config.rho * states
+        return z
 
     def f_value(self, state: np.ndarray) -> float:
-        return 1.0 + float(state @ state)
+        return float(self.f_values(state))
+
+    def f_values(self, states: np.ndarray) -> np.ndarray:
+        return 1.0 + _sq_norms(states)

@@ -97,10 +97,15 @@ def _validate_numeric(cfg: dict, key: str, kind, low=None, high=None) -> None:
         raise ConfigError(f"config key {key!r} must be <= {high}")
 
 
-def _ar_config(cfg: dict) -> ArConfig:
-    block = cfg.get("ar", {})
+def _block(cfg: dict, key: str) -> dict:
+    block = cfg.get(key, {})
     if not isinstance(block, dict):
-        raise ConfigError("config key 'ar' must be an object")
+        raise ConfigError(f"config key {key!r} must be an object")
+    return block
+
+
+def _ar_config(cfg: dict) -> ArConfig:
+    block = _block(cfg, "ar")
     try:
         return ArConfig(
             rho=float(block.get("rho", 0.9)),
@@ -113,9 +118,7 @@ def _ar_config(cfg: dict) -> ArConfig:
 
 
 def _logit_model(cfg: dict) -> LogitModel:
-    block = cfg.get("logit", {})
-    if not isinstance(block, dict):
-        raise ConfigError("config key 'logit' must be an object")
+    block = _block(cfg, "logit")
     data_path = block.get("data_path")
     if not data_path:
         raise ConfigError("config key 'logit.data_path' is required")
@@ -181,8 +184,8 @@ def _write_diagnostics(out: str, payload: dict) -> None:
 
 
 def cmd_plan(cfg: dict) -> int:
-    block = cfg.get("plan", {})
-    ar = cfg.get("ar", {})
+    block = _block(cfg, "plan")
+    ar = _block(cfg, "ar")
     try:
         eps = float(block.get("eps", 0.1))
         delta = float(block.get("delta", 0.1))
@@ -276,7 +279,7 @@ def cmd_run_logit(cfg: dict) -> int:
 
 
 def _baseline_common(cfg: dict, which: str) -> int:
-    block = cfg.get("baseline", {})
+    block = _block(cfg, "baseline")
     try:
         steps = int(block.get("steps", 100_000))
         burn_in = int(block.get("burn_in", steps // 10))
@@ -287,6 +290,8 @@ def _baseline_common(cfg: dict, which: str) -> int:
     if not steps > burn_in >= 0:
         raise ConfigError("baseline needs steps > burn_in >= 0")
     start_mode = block.get("start", "atoms")
+    if start_mode not in ("atoms", "proposal"):
+        raise ConfigError("baseline.start must be 'atoms' or 'proposal'")
     model = _logit_model(cfg)
     posterior = model.posterior
     out = _ensure_out(cfg)
@@ -301,10 +306,8 @@ def _baseline_common(cfg: dict, which: str) -> int:
         from .rng import CategoricalSampler
 
         start = atoms.atoms[CategoricalSampler(atoms.norm_weights).sample(stream)]
-    elif start_mode == "proposal":
-        start = model.propose(derive_stream(cfg["master_seed"], "baseline-start", 0))
     else:
-        raise ConfigError("baseline.start must be 'atoms' or 'proposal'")
+        start = model.propose(derive_stream(cfg["master_seed"], "baseline-start", 0))
 
     if which == "gibbs":
         res = run_single_chain_gibbs(posterior, steps, burn_in, start, cfg["master_seed"])

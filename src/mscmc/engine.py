@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import bounds
-from .rng import CategoricalSampler, RngStream, derive_stream
+from .rng import CategoricalSampler, RngStream, derive_stream, stream_words
 
 __all__ = [
     "DriftSpec",
@@ -35,8 +35,16 @@ __all__ = [
 
 DEFAULT_EXCURSION_CAP = 1_000_000
 
-# atom i of the restart distribution is drawn on stream (master_seed, ATOM_LABEL, i)
+# atom i of the restart distribution is drawn on stream (master_seed, ATOM_LABEL, i),
+# and chain m runs on stream (master_seed, CHAIN_LABEL, m)
 ATOM_LABEL = "init"
+CHAIN_LABEL = "chain"
+
+# words per stream_words pass in the lockstep excursion loop: bounds its
+# temporaries (about 1.7 MB above the per-chain loop's at d = 16, against
+# 3.1 MB at 2**16 words, at the same speed) and lets a few stragglers draw
+# many steps at once
+_WINDOW_WORDS = 1 << 15
 
 
 class CapExceededError(RuntimeError):
@@ -89,6 +97,11 @@ class ModelBundle(ABC):
 
     drift: DriftSpec
 
+    # A kernel that reads exactly this many raw words of its stream per step
+    # may set it and implement kernel_block and f_values; the engine then
+    # steps a block's chains in lockstep.  None keeps the per-chain loop.
+    words_per_step: int | None = None
+
     @abstractmethod
     def propose(self, stream: RngStream) -> np.ndarray:
         """Draw one state from the importance-sampling proposal."""
@@ -104,6 +117,18 @@ class ModelBundle(ABC):
     @abstractmethod
     def f_value(self, state: np.ndarray) -> float:
         """Drift-function value at ``state`` (always >= 1)."""
+
+    def kernel_block(self, states: np.ndarray, words: np.ndarray) -> np.ndarray:
+        """One step of each row of ``states`` (n, d), row r driven by ``words[r]``.
+
+        ``words`` is (n, words_per_step) uint64: the words ``kernel_step``
+        reads from the stream for that step, so both agree bit for bit.
+        """
+        raise NotImplementedError
+
+    def f_values(self, states: np.ndarray) -> np.ndarray:
+        """``f_value`` of each row of ``states``, bit for bit."""
+        raise NotImplementedError
 
     def propose_block(
         self, master_seed: int, lo: int, hi: int
@@ -301,15 +326,17 @@ def run_excursion(
 
 
 def _excursion_block(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi = span
     model = _CTX["model"]
+    functions = _CTX["functions"]
+    if model.words_per_step and all(type(f) is _Coordinate for f in functions):
+        return _lockstep_block(*span)
+    lo, hi = span
     sampler = _CTX["sampler"]
     atoms = _CTX["atoms"]
-    functions = _CTX["functions"]
     cap = _CTX["cap"]
     sums = np.empty((hi - lo, len(functions)))
     taus = np.zeros(hi - lo, dtype=np.int64)
-    stream = derive_stream(_CTX["master_seed"], "chain", lo)
+    stream = derive_stream(_CTX["master_seed"], CHAIN_LABEL, lo)
     for m in range(lo, hi):
         stream.rekey(m)
         start = atoms[sampler.sample(stream)]
@@ -318,6 +345,74 @@ def _excursion_block(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         except CapExceededError as err:
             raise CapExceededError(err.cap, chain_index=m) from None
     return sums, taus
+
+
+def _lockstep_block(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    # The chains lo..hi-1 of a fixed-consumption kernel, stepped together.
+    # Word 0 of stream (CHAIN_LABEL, m) picks the start exactly as
+    # Generator.random() does in the per-chain loop, and step k reads words
+    # 1 + (k-1)w .. kw, so every chain retires with the tau and sums that
+    # run_excursion would give it.  Each round draws a window of steps for
+    # the live chains in stream_words passes of about _WINDOW_WORDS words:
+    # many steps for a few stragglers, or one step for a chunk of rows.
+    model = _CTX["model"]
+    atoms = _CTX["atoms"]
+    sampler = _CTX["sampler"]
+    cap = _CTX["cap"]
+    seed = _CTX["master_seed"]
+    cols = np.array([f.j for f in _CTX["functions"]], dtype=np.intp)
+    w = model.words_per_step
+    R = model.drift.R
+    chains = np.arange(lo, hi, dtype=np.uint64)
+    sums = np.zeros((hi - lo, cols.size))
+    taus = np.zeros(hi - lo, dtype=np.int64)
+
+    def advance(idx, xs, words, pos, done):
+        # step chains idx (states xs, rows pos of the window words) through
+        # steps done+1.. of the window; return the chains still outside the
+        # set.  Each pass's arrays die with its caller's frame
+        for k in range(done + 1, done + words.shape[1] // w + 1):
+            c = (k - done - 1) * w
+            xs = model.kernel_block(xs, words[pos, c : c + w])
+            if cols.size:
+                sums[idx] += xs[:, cols]
+            back = model.f_values(xs) <= R
+            if back.any():
+                taus[idx[back]] = k
+                idx, xs, pos = idx[~back], xs[~back], pos[~back]
+                if not idx.size:
+                    break
+        return idx, xs
+
+    def first_step(a, b):
+        # words 0..w of chains a..b-1: the start, then the first step of
+        # each chain whose start lies inside the set (tau = 0 for the rest)
+        words = stream_words(seed, CHAIN_LABEL, chains[a:b], w + 1)
+        xs = atoms[sampler.pick((words[:, 0] >> np.uint64(11)) * 2.0**-53)]
+        inside = np.flatnonzero(model.f_values(xs) <= R)
+        return advance(a + inside, xs[inside], words[:, 1:], inside, 0)
+
+    def next_steps(idx, xs, done, steps):
+        words = stream_words(seed, CHAIN_LABEL, chains[idx], steps * w, 1 + done * w)
+        return advance(idx, xs, words, np.arange(idx.size), done)
+
+    rows = max(1, _WINDOW_WORDS // (w + 1))
+    kept = [first_step(a, a + rows) for a in range(0, hi - lo, rows)]
+    done = 1  # steps every live chain has taken
+    while True:
+        live = np.concatenate([idx for idx, _ in kept])
+        if not live.size:
+            return sums, taus
+        if done == cap:
+            raise CapExceededError(cap, chain_index=lo + int(live[0]))
+        x = np.concatenate([xs for _, xs in kept])
+        steps = min(max(1, _WINDOW_WORDS // (live.size * w)), cap - done)
+        rows = max(1, _WINDOW_WORDS // (steps * w))
+        kept = [
+            next_steps(live[a : a + rows], x[a : a + rows], done, steps)
+            for a in range(0, live.size, rows)
+        ]
+        done += steps
 
 
 def msc_estimate(
@@ -332,12 +427,16 @@ def msc_estimate(
     """Average M independent excursion sums started from the weighted atoms.
 
     Chain m draws its start (one uniform) and runs its excursion on stream
-    ("chain", m); the final reduction runs over the sums in chain order, so
-    the result depends only on (master_seed, N, M) and never on the worker
-    count.
+    (CHAIN_LABEL, m); the final reduction runs over the sums in chain order,
+    so the result depends only on (master_seed, N, M) and never on the worker
+    count.  A model with a fixed-consumption kernel (``words_per_step``) and
+    coordinate test functions steps each block's chains in lockstep, with
+    the same result as the per-chain loop.
     """
     if M < 2:
         raise ValueError("M must be >= 2 (a sample standard error needs two sums)")
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     sampler = CategoricalSampler(atoms.norm_weights)
     ctx = {
         "model": model,

@@ -238,6 +238,14 @@ class TestConfigHandling:
             ),
             ("run-ar", {}, "abc"),
             ("run-ar", {}, "0"),
+            ("plan", {"plan": 5}, None),
+            ("plan", {"ar": 5}, None),
+            ("baseline-gibbs", {"logit": {"data_path": HEART_PATH}, "baseline": 5}, None),
+            (
+                "baseline-gibbs",
+                {"logit": {"data_path": HEART_PATH}, "baseline": {"start": "nope"}},
+                None,
+            ),
         ],
         ids=[
             "logit-sigma-scale",
@@ -252,6 +260,10 @@ class TestConfigHandling:
             "baseline-rwm-scale",
             "msc-workers-text",
             "msc-workers-zero",
+            "plan-not-object",
+            "plan-ar-not-object",
+            "baseline-not-object",
+            "baseline-start",
         ],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, monkeypatch, command, overrides, env):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mscmc
+from mscmc import engine
 from mscmc.ar import ArConfig, ArModel
 from mscmc.engine import (
     CapExceededError,
@@ -274,12 +275,13 @@ class TestMscEstimate:
             msc_estimate(model, atoms, 8, [], master_seed=2, cap=3, workers=2)
         assert multiprocessing.active_children() == []
 
-    def test_worker_counts_bit_identical(self):
-        model = ArModel(ArConfig(rho=0.9, d=2, h=0.49, r=1.5))
+    @pytest.mark.parametrize("d", [2, 16])
+    def test_worker_counts_bit_identical(self, d):
+        model = ArModel(ArConfig(rho=0.9, d=d, h=0.49, r=1.5))
         atoms = build_initial_distribution(model, 500, master_seed=4, workers=2)
         results = [
             msc_estimate(
-                model, atoms, 300, coordinate_functions(2), master_seed=4, workers=w
+                model, atoms, 300, coordinate_functions(d), master_seed=4, workers=w
             )
             for w in (1, 2, 8)
         ]
@@ -287,6 +289,38 @@ class TestMscEstimate:
             assert np.array_equal(results[0].estimates, other.estimates)
             assert np.array_equal(results[0].stderrs, other.stderrs)
             assert np.array_equal(results[0].taus, other.taus)
+
+    @pytest.mark.parametrize("d, rho", [(1, 0.9), (2, 0.9), (16, 0.9), (2, 0.995)])
+    def test_lockstep_equals_scalar_loop(self, monkeypatch, d, rho):
+        # RecordingModel sets no words_per_step, so it runs the per-chain loop;
+        # a 40-word window forces chunked first steps and multi-step windows
+        model = ArModel(ArConfig(rho=rho, d=d, h=0.49, r=1.5))
+        atoms = build_initial_distribution(model, 2_000, master_seed=12, workers=1)
+        functions = coordinate_functions(d)
+        scalar = msc_estimate(RecordingModel(model), atoms, 1_500, functions, 12, workers=1)
+        assert scalar.taus.max() > 1
+        for window in (engine._WINDOW_WORDS, 40):
+            monkeypatch.setattr(engine, "_WINDOW_WORDS", window)
+            lockstep = msc_estimate(model, atoms, 1_500, functions, 12, workers=1)
+            assert np.array_equal(lockstep.estimates, scalar.estimates)
+            assert np.array_equal(lockstep.stderrs, scalar.stderrs)
+            assert np.array_equal(lockstep.taus, scalar.taus)
+        # no test functions at all also runs in lockstep
+        assert np.array_equal(msc_estimate(model, atoms, 1_500, [], 12, workers=1).taus, scalar.taus)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lockstep_cap_error_names_scalar_chain(self, workers):
+        model = ArModel(ArConfig(rho=0.9, d=2, h=0.49, r=1.5))
+        atoms = build_initial_distribution(model, 500, master_seed=9, workers=1)
+        chains = []
+        for bundle in (model, RecordingModel(model)):
+            with pytest.raises(CapExceededError) as err:
+                msc_estimate(
+                    bundle, atoms, 400, coordinate_functions(2), 9, cap=1, workers=workers
+                )
+            assert err.value.cap == 1
+            chains.append(err.value.chain_index)
+        assert chains[0] is not None and chains[0] == chains[1]
 
     def test_mean_tau_vs_skip_fraction(self):
         model = ArModel(ArConfig(rho=0.9, d=2, h=0.49, r=1.5))

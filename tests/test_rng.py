@@ -74,29 +74,47 @@ class TestStreams:
             derive_stream(0, "x", 0).rekey(2**64)
 
 
+def philox_words(seed, label, index, n, offset=0):
+    key = np.array([seed ^ fnv1a64(label), index], dtype=np.uint64)
+    return Philox(key=key).random_raw(offset + n)[offset:]
+
+
 class TestStreamWords:
     @pytest.mark.parametrize("label", ["init", "chain", "", "x" * 40])
     def test_known_answer_against_numpy_philox(self, label):
         seed = 0xFEEDFACECAFEBEEF
         for lo, hi in ((0, 5), (2**64 - 3, 2**64)):
-            words = stream_words(seed, label, lo, hi, 9)  # 9 words: three counter blocks
+            index = np.uint64(lo) + np.arange(hi - lo, dtype=np.uint64)
+            words = stream_words(seed, label, index, 9)  # 9 words: three counter blocks
             assert words.shape == (hi - lo, 9) and words.dtype == np.uint64
             for i in range(lo, hi):
-                key = np.array([seed ^ fnv1a64(label), i], dtype=np.uint64)
-                assert np.array_equal(words[i - lo], Philox(key=key).random_raw(9))
+                assert np.array_equal(words[i - lo], philox_words(seed, label, i, 9))
+
+    @pytest.mark.parametrize("offset", [0, 1, 3, 4, 5, 17])
+    def test_word_window_at_offset(self, offset):
+        # unsorted and repeated indices, the top three 64-bit indices among them
+        seed = 0x0123456789ABCDEF
+        index = np.array([7, 2**64 - 1, 0, 2**64 - 3, 7, 2**64 - 2], dtype=np.uint64)
+        for n in (1, 3, 4, 6, 13):  # windows that cross 4-word block boundaries
+            words = stream_words(seed, "chain", index, n, offset)
+            assert words.shape == (index.size, n)
+            for row, i in zip(words, index.tolist()):
+                assert np.array_equal(row, philox_words(seed, "chain", i, n, offset))
 
     def test_empty_range(self):
-        assert stream_words(3, "init", 4, 4, 2).shape == (0, 2)
+        assert stream_words(3, "init", np.array([], dtype=np.uint64), 2).shape == (0, 2)
+        assert stream_words(3, "init", [], 5, offset=6).shape == (0, 5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            stream_words(-1, "init", 0, 1, 1)
+            stream_words(-1, "init", [0], 1)
         with pytest.raises(ValueError):
-            stream_words(0, "init", 2, 1, 1)
+            stream_words(0, "init", [0], 0)
         with pytest.raises(ValueError):
-            stream_words(0, "init", 0, 2**64 + 1, 1)
-        with pytest.raises(ValueError):
-            stream_words(0, "init", 0, 1, 0)
+            stream_words(0, "init", [0], 1, offset=-1)
+        for bad in ([2**64], [1, -1], [[0]]):
+            with pytest.raises(ValueError):
+                stream_words(0, "init", bad, 1)
 
     def test_open_uniform_extremes_and_symmetry(self):
         words = np.array([0, 2**12 - 1, 2**64 - 1, 2**63], dtype=np.uint64)
@@ -161,7 +179,9 @@ class TestCategorical:
     )
     def test_zero_weight_never_returned_at_extreme_uniforms(self, weights, u, want):
         stream = SimpleNamespace(gen=SimpleNamespace(random=lambda: u))
-        assert CategoricalSampler(np.array(weights)).sample(stream) == want
+        sampler = CategoricalSampler(np.array(weights))
+        assert sampler.sample(stream) == want
+        assert sampler.pick(np.array([u, u]))[1] == want
 
     def test_zero_weights_never_drawn(self):
         w = np.zeros(64)
