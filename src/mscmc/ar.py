@@ -13,7 +13,7 @@ import numpy as np
 
 from .bounds import ar_drift_constants
 from .engine import ATOM_LABEL, DriftSpec, ModelBundle
-from .rng import RngStream, open_uniform, stream_words
+from .rng import RngStream, ndtri, open_uniform, stream_words
 
 __all__ = ["ArConfig", "ArModel", "ar_log_weight"]
 
@@ -102,8 +102,6 @@ class ArModel(ModelBundle):
     def _atoms(self, words: np.ndarray) -> np.ndarray:
         # fixed consumption: one raw word per coordinate through the normal
         # inverse CDF, so atom i depends only on words 0..d-1 of its stream
-        from scipy.special import ndtri
-
         return self._prop_scale * ndtri(open_uniform(words))
 
     def kernel_step(self, stream: RngStream, state: np.ndarray) -> np.ndarray:
@@ -113,10 +111,7 @@ class ArModel(ModelBundle):
         """rho x + sqrt(1 - rho^2) z for a state or each row of states, z the
         normal inverse CDF of one word per coordinate (the same fixed
         consumption as the atoms)."""
-        from scipy.special import ndtri
-
-        z = open_uniform(words)
-        ndtri(z, out=z)
+        z = ndtri(open_uniform(words))
         z *= self._noise_scale
         z += self.config.rho * states
         return z

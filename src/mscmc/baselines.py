@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky
 
 from .logit import LogitPosterior, log_unnorm_posterior, pg_gibbs_step
 from .rng import RngStream, derive_stream
@@ -73,6 +72,8 @@ def rwm_step_factor(posterior: LogitPosterior, scale_override: float | None = No
     optimal-scaling rule for Gaussian-like targets.  ``scale_override``
     multiplies the step size.
     """
+    from scipy.linalg import cholesky
+
     step = 2.38 / math.sqrt(posterior.d)
     if scale_override is not None:
         step *= scale_override

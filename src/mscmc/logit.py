@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .bounds import logit_gibbs_constants
 from .engine import DriftSpec, ModelBundle
@@ -186,6 +185,8 @@ class LogitPosterior:
         Sigma = np.asarray(Sigma, dtype=float)
         if Sigma.shape != (dataset.d, dataset.d):
             raise ValueError("Sigma must be d x d")
+        from scipy.linalg import cho_solve, cholesky
+
         self.dataset = dataset
         self.Sigma = Sigma
         self.h = h
@@ -212,6 +213,8 @@ class LogitPosterior:
 
     def laplace_covariance(self) -> np.ndarray:
         """Inverse curvature at the mode, the natural scale of the posterior."""
+        from scipy.linalg import cho_solve, cholesky
+
         hess = neg_log_lik_hess(self.beta_star, self.dataset) + self.Sigma_inv
         chol = cholesky(hess, lower=True)
         return cho_solve((chol, True), np.eye(self.d))
@@ -229,6 +232,8 @@ def map_estimate(posterior: LogitPosterior, tol: float = 1e-8, max_iter: int = 1
     The objective neg_log_lik + quadratic penalty is strictly convex, so the
     mode is unique; iteration stops when the gradient norm is at most ``tol``.
     """
+    from scipy.linalg import cho_solve, cholesky
+
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     ds = posterior.dataset
@@ -272,6 +277,8 @@ def proposal_log_weight(posterior: LogitPosterior, beta: np.ndarray) -> float:
     The posterior's normalizer is unknown; self-normalization downstream
     cancels it.
     """
+    from scipy.linalg import solve_triangular
+
     resid = beta - posterior.beta_star
     half = solve_triangular(posterior._chol_prop, resid, lower=True)
     log_q = (
@@ -294,6 +301,8 @@ def pg_gibbs_step(stream: RngStream, beta: np.ndarray, posterior: LogitPosterior
     A single SPD factorization of X' Omega X + Sigma^{-1} serves both the
     conditional-mean solve and the Gaussian draw.
     """
+    from scipy.linalg import cho_solve, cholesky, solve_triangular
+
     omega = draw_omega(stream, beta, posterior)
     X = posterior.dataset.X
     prec = (X * omega[:, None]).T @ X + posterior.Sigma_inv

@@ -11,10 +11,11 @@ word w % 4 of the Philox4x64-10 block at counter w // 4 + 1, a pure function
 of (key, counter).  ``stream_words`` therefore computes any window of words of
 any set of streams at once, in vectorised passes over (stream, block) pairs,
 bit-identical to drawing them from each stream in turn; ``open_uniform`` maps
-words into (0, 1).  A consumer that reads a fixed number of words per draw can
-fix its layout in advance (word 0 for one draw, words 1..w for the next, and
-so on) and draw the same values one stream at a time or for a whole block of
-streams at once.
+words into (0, 1), and ``ndtri``, Wichura's AS 241 normal inverse CDF in
+numpy, maps those to standard normals (so normal draws need no scipy).  A
+consumer that reads a fixed number of words per draw can fix its layout in
+advance (word 0 for one draw, words 1..w for the next, and so on) and draw
+the same values one stream at a time or for a whole block of streams at once.
 
 Two samplers draw from a stream: ``CategoricalSampler``, an inverse-CDF
 sampler over the restart weights (``pick`` maps an array of uniforms at
@@ -34,6 +35,7 @@ __all__ = [
     "fnv1a64",
     "stream_words",
     "open_uniform",
+    "ndtri",
     "CategoricalSampler",
     "sample_polya_gamma_batch",
     "SamplerError",
@@ -230,6 +232,112 @@ def open_uniform(words: np.ndarray) -> np.ndarray:
     return u
 
 
+# Wichura, "Algorithm AS 241: the percentage points of the normal
+# distribution", Applied Statistics 37 (1988), PPND16: rational minimax
+# approximations in three regions, numerator then denominator coefficients,
+# highest power first (the denominators' constant term is 1).
+_PPND_CENTRAL = (
+    2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+    4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+    1.3314166789178437745e2, 3.3871328727963666080e0,
+    5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+    2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+    4.2313330701600911252e1,
+)
+_PPND_NEAR = (
+    7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+    1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
+    4.63033784615654529590e0, 1.42343711074968357734e0,
+    1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+    1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
+    2.05319162663775882187e0,
+)
+_PPND_FAR = (
+    2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+    2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
+    5.46378491116411436990e0, 6.65790464350110377720e0,
+    2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+    7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+    5.99832206555887937690e-1,
+)
+# at or below this many values ndtri evaluates them as Python floats: about
+# 1.3 us a value, against some 80 us for the array path's 70-odd ufunc calls
+# at any small size (the two cross near 64 values on a 2-core x86 VM)
+_NDTRI_SMALL = 64
+# values per array pass: a pass's temporaries stay in cache (37-42 ns a value
+# at 16,384-65,536 values against 53-80 ns at 262,144-2,097,152)
+_NDTRI_CHUNK = 32_768
+
+
+def _ppnd(coefs: tuple, r):
+    # one rational approximation at r, a float or an array, by Horner's rule
+    # highest power first: both kinds of r go through the same roundings
+    a7, a6, a5, a4, a3, a2, a1, a0, b7, b6, b5, b4, b3, b2, b1 = coefs
+    num = ((((((a7 * r + a6) * r + a5) * r + a4) * r + a3) * r + a2) * r + a1) * r + a0
+    den = ((((((b7 * r + b6) * r + b5) * r + b4) * r + b3) * r + b2) * r + b1) * r + 1.0
+    return num / den
+
+
+def _ndtri_floats(u: list) -> list:
+    # ndtri one Python float at a time; the tail values share one np.log
+    # call (math.log differs from it in the last bit on some inputs)
+    z = [x - 0.5 for x in u]
+    tail = []
+    for i, q in enumerate(z):
+        a = abs(q)
+        if a <= 0.425:
+            z[i] = math.copysign(a * _ppnd(_PPND_CENTRAL, 0.180625 - a * a), q)
+        else:
+            tail.append(i)
+    if tail:
+        logs = np.log([0.5 - abs(z[i]) for i in tail]).tolist()
+        for i, lg in zip(tail, logs):
+            r = math.sqrt(-lg)
+            zt = _ppnd(_PPND_NEAR, r - 1.6) if r <= 5.0 else _ppnd(_PPND_FAR, r - 5.0)
+            z[i] = math.copysign(zt, z[i])
+    return z
+
+
+def _ndtri_block(u: np.ndarray, out: np.ndarray) -> None:
+    # ndtri of a vector into out, each region under a mask
+    q = u - 0.5
+    a = np.abs(q)
+    central = a <= 0.425
+    ac = a[central]
+    out[central] = ac * _ppnd(_PPND_CENTRAL, 0.180625 - ac * ac)
+    tail = ~central
+    r = np.sqrt(-np.log(0.5 - a[tail]))
+    far = r > 5.0
+    if far.any():
+        zt = np.empty_like(r)
+        zt[~far] = _ppnd(_PPND_NEAR, r[~far] - 1.6)
+        zt[far] = _ppnd(_PPND_FAR, r[far] - 5.0)
+    else:
+        zt = _ppnd(_PPND_NEAR, r - 1.6)
+    out[tail] = zt
+    np.copysign(out, q, out=out)
+
+
+def ndtri(u) -> np.ndarray:
+    """Standard normal inverse CDF of each value in ``u`` (in (0, 1)).
+
+    Wichura's AS 241 (PPND16), accurate to about 1e-16 relative: within a
+    few ulp of ``scipy.special.ndtri`` on ``open_uniform`` values.  The tail
+    argument 0.5 - |u - 1/2| and the sign are exact on those values, so
+    ``ndtri(1 - u) == -ndtri(u)`` holds bit for bit.  Small inputs take a
+    scalar path with the same operations in the same order, so any value
+    maps to the same bits whatever the size of the array it arrives in.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.size <= _NDTRI_SMALL:
+        return np.array(_ndtri_floats(u.ravel().tolist())).reshape(u.shape)
+    flat = u.ravel()
+    z = np.empty_like(flat)
+    for a in range(0, flat.size, _NDTRI_CHUNK):
+        _ndtri_block(flat[a : a + _NDTRI_CHUNK], z[a : a + _NDTRI_CHUNK])
+    return z.reshape(u.shape)
+
+
 class CategoricalSampler:
     """Inverse-CDF sampler over a fixed probability vector.
 
@@ -256,7 +364,15 @@ class CategoricalSampler:
     def pick(self, u: np.ndarray) -> np.ndarray:
         """The index drawn by each uniform in ``u`` (values in [0, 1))."""
         # side="right" skips zero-weight indices: their cdf equals their predecessor's
-        k = self.cdf.searchsorted(u * self.cdf[-1], side="right")
+        x = np.asarray(u) * self.cdf[-1]
+        if x.ndim == 1:
+            # keys in ascending order walk the cdf front to back (about 2x
+            # faster on a 6e4-atom cdf); the indices go back in drawn order
+            order = x.argsort()
+            k = np.empty(x.size, dtype=np.intp)
+            k[order] = self.cdf.searchsorted(x[order], side="right")
+        else:
+            k = self.cdf.searchsorted(x, side="right")
         return np.minimum(k, self.last)
 
     def sample(self, stream: RngStream) -> int:

@@ -137,7 +137,7 @@ def test_acceptance_04_mse_bound_dominance():
     for i in range(50):
         seed = 1_000 + i
         atoms = build_initial_distribution(model, N, master_seed=seed)
-        res = msc_estimate(model, atoms, M, [lambda x: float(x[0])], master_seed=seed)
+        res = msc_estimate(model, atoms, M, coordinate_functions(2)[:1], master_seed=seed)
         errors_sq[i] = res.estimates[0] ** 2  # true mean is zero
     empirical_mse = float(errors_sq.mean())
     bound = mse_bound(

@@ -108,7 +108,7 @@ class TestBiasBound:
         # the scatter of those conditional means across realizations is the
         # restart-stage error the bound controls
         from mscmc.ar import ArConfig, ArModel
-        from mscmc.engine import build_initial_distribution, msc_estimate
+        from mscmc.engine import build_initial_distribution, coordinate_functions, msc_estimate
 
         model = ArModel(ArConfig(rho=0.9, d=2, h=0.49, r=1.5))
         N = 1_000
@@ -116,7 +116,7 @@ class TestBiasBound:
         for i in range(30):
             atoms = build_initial_distribution(model, N, master_seed=500 + i, workers=1)
             res = msc_estimate(
-                model, atoms, 5_000, [lambda x: float(x[0])], master_seed=500 + i, workers=1
+                model, atoms, 5_000, coordinate_functions(2)[:1], master_seed=500 + i, workers=1
             )
             cond_means[i] = res.estimates[0]
         empirical = float(np.mean(cond_means**2))  # true target is 0

@@ -300,3 +300,55 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "N_required" in proc.stdout
+
+
+SCIPY_FREE_SCRIPT = """
+import sys
+
+import mscmc, mscmc.cli
+from mscmc.cli import main
+
+
+def assert_no_scipy(after):
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert not loaded, f"{after} loaded {loaded[:3]}"
+
+
+assert_no_scipy("import mscmc, mscmc.cli")
+assert main(["run-ar", sys.argv[1], "--workers", "1"]) == 0
+assert_no_scipy("run-ar")
+assert main(["plan", sys.argv[1]]) == 0
+assert_no_scipy("plan")
+assert main(["run-logit", sys.argv[2], "--workers", "1"]) == 0
+"""
+
+
+class TestScipyFreeArPath:
+    def test_ar_run_and_plan_import_no_scipy(self, tmp_path):
+        ar_cfg = write_config(
+            tmp_path / "ar.json",
+            out_dir=str(tmp_path / "ar"),
+            n_atoms=500,
+            n_chains=50,
+            plan={"eps": 0.1, "delta": 0.1, "dims": [1, 2]},
+        )
+        logit_cfg = write_config(
+            tmp_path / "logit.json",
+            model="logit",
+            out_dir=str(tmp_path / "logit"),
+            n_atoms=200,
+            n_chains=10,
+            logit={"data_path": HEART_PATH, "sigma_scale": 10.0, "h": 0.49, "r": 1.001},
+        )
+        src = os.path.join(os.path.dirname(HEART_PATH), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_FREE_SCRIPT, str(ar_cfg), str(logit_cfg)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert os.path.exists(tmp_path / "ar" / "estimates.csv")
+        assert os.path.exists(tmp_path / "logit" / "estimates.csv")

@@ -11,6 +11,7 @@ from mscmc.rng import (
     CategoricalSampler,
     derive_stream,
     fnv1a64,
+    ndtri,
     open_uniform,
     sample_polya_gamma_batch,
     stream_words,
@@ -126,6 +127,47 @@ class TestStreamWords:
         assert np.array_equal(1.0 - open_uniform(~words), u)
 
 
+class TestNdtri:
+    @pytest.fixture(scope="class")
+    def uniforms(self):
+        # 2e6 open_uniform values plus both extremes (words 0 and 2**64 - 1)
+        words = stream_words(23, "ndtri", np.arange(500_000), 4).ravel()
+        extremes = np.array([0, 2**64 - 1], dtype=np.uint64)
+        return open_uniform(np.concatenate([words, extremes]))
+
+    def test_within_8_ulp_of_scipy(self, uniforms):
+        from scipy.special import ndtri as scipy_ndtri
+
+        want = scipy_ndtri(uniforms)
+        ulps = np.abs(ndtri(uniforms) - want) / np.spacing(np.abs(want))
+        assert ulps.max() <= 8.0
+
+    def test_exact_antisymmetry(self, uniforms):
+        assert np.array_equal(ndtri(1.0 - uniforms), -ndtri(uniforms))
+
+    def test_small_path_equals_array_path(self, uniforms):
+        from mscmc.rng import _NDTRI_SMALL
+
+        # every tail value of the fixture (about 3e5; the scalar path's log
+        # must round like the array path's), some central values, and far
+        # tail values (r > 5, u below about 1.4e-11) at both ends
+        tails = uniforms[np.abs(uniforms - 0.5) > 0.425]
+        picks = np.concatenate([uniforms[:2_000], tails, [1e-12, 1.0 - 2.0**-40]])
+        r = np.sqrt(-np.log(0.5 - np.abs(picks - 0.5)))
+        assert (r > 5.0).sum() >= 4 and (r <= 5.0).sum() > 1e5
+        whole = ndtri(picks)
+        for a in range(0, picks.size, _NDTRI_SMALL):
+            chunk = picks[a : a + _NDTRI_SMALL]
+            assert ndtri(chunk).tobytes() == whole[a : a + chunk.size].tobytes()
+        singles = np.r_[0:2_000:7, picks.size - 2_000 : picks.size]
+        for i in singles.tolist():
+            assert ndtri(picks[i]).tobytes() == whole[i].tobytes()
+            assert ndtri(picks[i : i + 1]).tobytes() == whole[i : i + 1].tobytes()
+        block = picks[: 4 * _NDTRI_SMALL].reshape(-1, 4)
+        assert np.array_equal(ndtri(block), whole[: block.size].reshape(block.shape))
+        assert np.array_equal(ndtri(block[:2]), whole[:8].reshape(2, 4))
+
+
 class TestStdNormal:
     def test_moments(self):
         stream = derive_stream(7, "normal", 0)
@@ -182,6 +224,13 @@ class TestCategorical:
         sampler = CategoricalSampler(np.array(weights))
         assert sampler.sample(stream) == want
         assert sampler.pick(np.array([u, u]))[1] == want
+
+    def test_pick_keeps_drawn_order(self):
+        w = derive_stream(5, "cat", 6).gen.random(1_000)
+        sampler = CategoricalSampler(w / w.sum())
+        u = derive_stream(5, "cat", 7).gen.random(5_000)
+        want = [int(sampler.pick(x)) for x in u]  # one 0-d search per uniform
+        assert sampler.pick(u).tolist() == want
 
     def test_zero_weights_never_drawn(self):
         w = np.zeros(64)
