@@ -12,14 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ar_drift_constants
-from .engine import ATOM_LABEL, DriftSpec, ModelBundle
-from .rng import RngStream, ndtri, open_uniform, stream_words
+from .engine import DriftSpec, ModelBundle
+from .rng import ndtri, open_uniform
 
-__all__ = ["ArConfig", "ArModel", "ar_log_weight"]
-
-# keys per stream_words call in ArModel.propose_block: bounds the temporaries
-# (a few MB at d = 16) at any N
-_BLOCK_KEYS = 16_384
+__all__ = ["ArConfig", "ArModel"]
 
 
 @dataclass(frozen=True)
@@ -43,26 +39,14 @@ class ArConfig:
             raise ValueError("r must exceed 1")
 
 
-def ar_log_weight(x: np.ndarray, config: ArConfig) -> float:
-    """Exact log density ratio of N(0, I) over N(0, (1/2+h) I) at x,
-    normalizing constants included (both densities are fully known)."""
-    return float(_ar_log_weights(np.asarray(x, dtype=float), config))
-
-
 def _sq_norms(x: np.ndarray) -> np.ndarray:
-    # squared norm of a state, or of each row of an (n, d) array, summed one
-    # coordinate at a time: a row gives the same value alone or in a block
+    # squared norm of each row of an (n, d) array, summed one coordinate at
+    # a time: a row gives the same value alone or in a block
     cols = x.T
     sq = cols[0] * cols[0]
     for c in cols[1:]:
         sq += c * c
     return sq
-
-
-def _ar_log_weights(x: np.ndarray, config: ArConfig) -> np.ndarray:
-    # ar_log_weight of a state or of each row of an (n, d) array
-    s = 0.5 + config.h
-    return 0.5 * config.d * math.log(s) - 0.5 * _sq_norms(x) * (1.0 - 1.0 / s)
 
 
 class ArModel(ModelBundle):
@@ -75,49 +59,27 @@ class ArModel(ModelBundle):
         self.weight_second_moment = w2  # closed form, for cross-checks
         self._prop_scale = math.sqrt(0.5 + config.h)
         self._noise_scale = math.sqrt(1.0 - config.rho**2)
-        self.words_per_step = config.d
+        self.words_per_atom = self.words_per_step = config.d
 
-    def propose(self, stream: RngStream) -> np.ndarray:
-        return self._atoms(stream.gen.bit_generator.random_raw(self.config.d))
-
-    def log_weight(self, state: np.ndarray) -> float:
-        return ar_log_weight(state, self.config)
-
-    def propose_block(
-        self, master_seed: int, lo: int, hi: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Atom i is ``propose`` on stream (master_seed, ATOM_LABEL, i), bit for bit:
-        words 0..d-1 of every stream in the block are computed at once."""
-        atoms = np.empty((hi - lo, self.config.d))
-        logw = np.empty(hi - lo)
-        for start in range(lo, hi, _BLOCK_KEYS):
-            stop = min(start + _BLOCK_KEYS, hi)
-            index = np.uint64(start) + np.arange(stop - start, dtype=np.uint64)
-            words = stream_words(master_seed, ATOM_LABEL, index, self.config.d)
-            block = self._atoms(words)
-            atoms[start - lo : stop - lo] = block
-            logw[start - lo : stop - lo] = _ar_log_weights(block, self.config)
-        return atoms, logw
-
-    def _atoms(self, words: np.ndarray) -> np.ndarray:
-        # fixed consumption: one raw word per coordinate through the normal
-        # inverse CDF, so atom i depends only on words 0..d-1 of its stream
+    def atoms(self, words: np.ndarray) -> np.ndarray:
+        """N(0, (1/2+h) I) draws: one word per coordinate through the normal
+        inverse CDF."""
         return self._prop_scale * ndtri(open_uniform(words))
 
-    def kernel_step(self, stream: RngStream, state: np.ndarray) -> np.ndarray:
-        return self.kernel_block(state, stream.gen.bit_generator.random_raw(self.config.d))
+    def log_weights(self, atoms: np.ndarray) -> np.ndarray:
+        """Exact log density ratio of N(0, I) over N(0, (1/2+h) I), normalizing
+        constants included (both densities are fully known)."""
+        s = 0.5 + self.config.h
+        return 0.5 * self.config.d * math.log(s) - 0.5 * _sq_norms(atoms) * (1.0 - 1.0 / s)
 
     def kernel_block(self, states: np.ndarray, words: np.ndarray) -> np.ndarray:
-        """rho x + sqrt(1 - rho^2) z for a state or each row of states, z the
-        normal inverse CDF of one word per coordinate (the same fixed
-        consumption as the atoms)."""
+        """rho x + sqrt(1 - rho^2) z for each row of states, z the normal
+        inverse CDF of one word per coordinate (the same fixed consumption as
+        the atoms)."""
         z = ndtri(open_uniform(words))
         z *= self._noise_scale
         z += self.config.rho * states
         return z
-
-    def f_value(self, state: np.ndarray) -> float:
-        return float(self.f_values(state))
 
     def f_values(self, states: np.ndarray) -> np.ndarray:
         return 1.0 + _sq_norms(states)

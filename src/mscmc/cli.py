@@ -84,13 +84,17 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
     return merged
 
 
-def _validate_numeric(cfg: dict, key: str, kind, low=None, high=None) -> None:
-    val = cfg.get(key)
+def _number(key: str, val, kind):
+    # val as kind; booleans, text and (for int) fractions are rejected, not truncated
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         raise ConfigError(f"config key {key!r} must be a number (got {val!r})")
-    if kind is int and int(val) != val:
+    if kind is int and not (math.isfinite(val) and int(val) == val):
         raise ConfigError(f"config key {key!r} must be an integer (got {val!r})")
-    cfg[key] = kind(val)
+    return kind(val)
+
+
+def _validate_numeric(cfg: dict, key: str, kind, low=None, high=None) -> None:
+    cfg[key] = _number(key, cfg.get(key), kind)
     if low is not None and cfg[key] < low:
         raise ConfigError(f"config key {key!r} must be >= {low}")
     if high is not None and cfg[key] > high:
@@ -109,7 +113,7 @@ def _ar_config(cfg: dict) -> ArConfig:
     try:
         return ArConfig(
             rho=float(block.get("rho", 0.9)),
-            d=int(block.get("d", 2)),
+            d=_number("ar.d", block.get("d", 2), int),
             h=float(block.get("h", 0.49)),
             r=float(block.get("r", 1.5)),
         )
@@ -189,7 +193,7 @@ def cmd_plan(cfg: dict) -> int:
     try:
         eps = float(block.get("eps", 0.1))
         delta = float(block.get("delta", 0.1))
-        dims = [int(d) for d in block.get("dims", [1, 5, 10, 15, 20, 25, 30])]
+        dims = [_number("plan.dims", d, int) for d in block.get("dims", [1, 5, 10, 15, 20, 25, 30])]
         rho = float(ar.get("rho", 0.9))
         h = float(ar.get("h", 0.49))
         r = float(ar.get("r", 1.5))
@@ -281,8 +285,8 @@ def cmd_run_logit(cfg: dict) -> int:
 def _baseline_common(cfg: dict, which: str) -> int:
     block = _block(cfg, "baseline")
     try:
-        steps = int(block.get("steps", 100_000))
-        burn_in = int(block.get("burn_in", steps // 10))
+        steps = _number("baseline.steps", block.get("steps", 100_000), int)
+        burn_in = _number("baseline.burn_in", block.get("burn_in", steps // 10), int)
         override = block.get("rwm_scale_override")
         scale_override = None if override is None else float(override)
     except (TypeError, ValueError) as err:

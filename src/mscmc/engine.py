@@ -40,10 +40,10 @@ DEFAULT_EXCURSION_CAP = 1_000_000
 ATOM_LABEL = "init"
 CHAIN_LABEL = "chain"
 
-# words per stream_words pass in the lockstep excursion loop: bounds its
-# temporaries (about 1.7 MB above the per-chain loop's at d = 16, against
-# 3.1 MB at 2**16 words, at the same speed) and lets a few stragglers draw
-# many steps at once
+# words per stream_words pass in the restart chunks and the lockstep
+# excursion loop: bounds their temporaries (about 1.7 MB above the per-chain
+# loop's at d = 16, against 3.1 MB at 2**16 words, at the same speed) and
+# lets a few stragglers draw many steps at once
 _WINDOW_WORDS = 1 << 15
 
 
@@ -91,61 +91,56 @@ class DriftSpec:
 class ModelBundle(ABC):
     """A pluggable target: proposal, weight, kernel, and drift data.
 
-    The kernel must be time-homogeneous (depend only on the current state and
-    the stream) and the drift function value must be >= 1 everywhere.
+    Each method maps a block of rows and must give a row the same bits in a
+    block of any size (numpy's ``@`` does not; a sum in a fixed order does).
+    The kernel must be time-homogeneous and the drift function value >= 1.
     """
 
     drift: DriftSpec
 
+    # A proposal that maps exactly this many raw words of its stream to an
+    # atom may set it and implement atoms, drawn in chunks; None calls propose.
+    words_per_atom: int | None = None
+
     # A kernel that reads exactly this many raw words of its stream per step
-    # may set it and implement kernel_block and f_values; the engine then
-    # steps a block's chains in lockstep.  None keeps the per-chain loop.
+    # may set it and implement kernel_block, stepped in lockstep; None calls
+    # kernel_step chain by chain.
     words_per_step: int | None = None
 
     @abstractmethod
-    def propose(self, stream: RngStream) -> np.ndarray:
-        """Draw one state from the importance-sampling proposal."""
+    def log_weights(self, atoms: np.ndarray) -> np.ndarray:
+        """Log of d(target)/d(proposal) at each row, up to one additive constant."""
 
     @abstractmethod
-    def log_weight(self, state: np.ndarray) -> float:
-        """Log of d(target)/d(proposal) at ``state``, up to an additive constant."""
+    def f_values(self, states: np.ndarray) -> np.ndarray:
+        """Drift-function value of each row of ``states`` (always >= 1)."""
 
-    @abstractmethod
-    def kernel_step(self, stream: RngStream, state: np.ndarray) -> np.ndarray:
-        """One Markov transition from ``state``."""
-
-    @abstractmethod
-    def f_value(self, state: np.ndarray) -> float:
-        """Drift-function value at ``state`` (always >= 1)."""
+    def atoms(self, words: np.ndarray) -> np.ndarray:
+        """Proposal draws, one row per row of ``words`` (n, words_per_atom) uint64."""
+        raise NotImplementedError
 
     def kernel_block(self, states: np.ndarray, words: np.ndarray) -> np.ndarray:
-        """One step of each row of ``states`` (n, d), row r driven by ``words[r]``.
-
-        ``words`` is (n, words_per_step) uint64: the words ``kernel_step``
-        reads from the stream for that step, so both agree bit for bit.
-        """
+        """One step of each row of ``states``, row r driven by the words ``words[r]``."""
         raise NotImplementedError
 
-    def f_values(self, states: np.ndarray) -> np.ndarray:
-        """``f_value`` of each row of ``states``, bit for bit."""
-        raise NotImplementedError
+    def kernel_step(self, stream: RngStream, state: np.ndarray) -> np.ndarray:
+        """One Markov transition; a variable-consumption kernel overrides this."""
+        if self.words_per_step is None:
+            raise NotImplementedError
+        words = stream.gen.bit_generator.random_raw(self.words_per_step)
+        return self.kernel_block(np.asarray(state)[None], words[None])[0]
 
-    def propose_block(
-        self, master_seed: int, lo: int, hi: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Atoms lo..hi-1 as an (hi - lo, d) array, and their log-weights.
+    def propose(self, stream: RngStream) -> np.ndarray:
+        """One proposal draw; a variable-consumption proposal overrides this."""
+        if self.words_per_atom is None:
+            raise NotImplementedError
+        return self.atoms(stream.gen.bit_generator.random_raw(self.words_per_atom)[None])[0]
 
-        Atom i is ``propose`` on stream (master_seed, ATOM_LABEL, i).  A model
-        may override this with a vectorised draw that keeps that addressing.
-        """
-        stream = derive_stream(master_seed, ATOM_LABEL, lo)
-        atoms = []
-        logw = np.empty(hi - lo)
-        for i in range(lo, hi):
-            atom = self.propose(stream.rekey(i))
-            atoms.append(atom)
-            logw[i - lo] = self.log_weight(atom)
-        return np.asarray(atoms), logw
+    def log_weight(self, state: np.ndarray) -> float:
+        return float(self.log_weights(np.asarray(state)[None])[0])
+
+    def f_value(self, state: np.ndarray) -> float:
+        return float(self.f_values(np.asarray(state)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -253,7 +248,22 @@ def _map_blocks(
 
 
 def _propose_block(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    return _CTX["model"].propose_block(_CTX["master_seed"], *span)
+    # atoms lo..hi-1 and their log-weights, in chunks of about _WINDOW_WORDS words
+    model, (lo, hi) = _CTX["model"], span
+    if model.words_per_atom is None:  # atom i is propose on stream (ATOM_LABEL, i)
+        stream = derive_stream(_CTX["master_seed"], ATOM_LABEL, lo)
+        atoms = np.array([model.propose(stream.rekey(i)) for i in range(lo, hi)])
+        return atoms, model.log_weights(atoms)
+    rows = max(1, _WINDOW_WORDS // model.words_per_atom)
+    logw = np.empty(hi - lo)
+    for a in range(0, hi - lo, rows):
+        index = np.uint64(lo + a) + np.arange(min(rows, hi - lo - a), dtype=np.uint64)
+        x = model.atoms(stream_words(_CTX["master_seed"], ATOM_LABEL, index, model.words_per_atom))
+        if a == 0:
+            atoms = np.empty((hi - lo, x.shape[1]))
+        atoms[a : a + len(x)] = x
+        logw[a : a + len(x)] = model.log_weights(x)
+    return atoms, logw
 
 
 def build_initial_distribution(
@@ -328,7 +338,7 @@ def run_excursion(
 def _excursion_block(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     model = _CTX["model"]
     functions = _CTX["functions"]
-    if model.words_per_step and all(type(f) is _Coordinate for f in functions):
+    if model.words_per_step:
         return _lockstep_block(*span)
     lo, hi = span
     sampler = _CTX["sampler"]
@@ -360,7 +370,11 @@ def _lockstep_block(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     sampler = _CTX["sampler"]
     cap = _CTX["cap"]
     seed = _CTX["master_seed"]
-    cols = np.array([f.j for f in _CTX["functions"]], dtype=np.intp)
+    # coordinate test functions read their column of the states; any other
+    # function has a placeholder column that its value at each row replaces
+    functions = _CTX["functions"]
+    cols = np.array([f.j if type(f) is _Coordinate else -1 for f in functions], dtype=np.intp)
+    calls = [(j, f) for j, f in enumerate(functions) if cols[j] < 0]
     w = model.words_per_step
     R = model.drift.R
     chains = np.arange(lo, hi, dtype=np.uint64)
@@ -375,7 +389,10 @@ def _lockstep_block(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
             c = (k - done - 1) * w
             xs = model.kernel_block(xs, words[pos, c : c + w])
             if cols.size:
-                sums[idx] += xs[:, cols]
+                vals = xs[:, cols]
+                for j, f in calls:
+                    vals[:, j] = [f(x) for x in xs]
+                sums[idx] += vals
             back = model.f_values(xs) <= R
             if back.any():
                 taus[idx[back]] = k
@@ -429,9 +446,9 @@ def msc_estimate(
     Chain m draws its start (one uniform) and runs its excursion on stream
     (CHAIN_LABEL, m); the final reduction runs over the sums in chain order,
     so the result depends only on (master_seed, N, M) and never on the worker
-    count.  A model with a fixed-consumption kernel (``words_per_step``) and
-    coordinate test functions steps each block's chains in lockstep, with
-    the same result as the per-chain loop.
+    count.  A model with a fixed-consumption kernel (``words_per_step``)
+    steps each block's chains in lockstep, with the same result as the
+    per-chain loop for any test functions.
     """
     if M < 2:
         raise ValueError("M must be >= 2 (a sample standard error needs two sums)")

@@ -195,9 +195,9 @@ class LogitPosterior:
         except np.linalg.LinAlgError:
             raise ValueError("Sigma must be symmetric positive-definite") from None
         self.Sigma_inv = cho_solve((self._chol_Sigma, True), np.eye(dataset.d))
-        # proposal covariance (1/2 + h) Sigma and its factor / log-determinant
+        # proposal covariance (1/2 + h) Sigma: its factor and log normalizing constant
         self._chol_prop = math.sqrt(0.5 + h) * self._chol_Sigma
-        self._prop_logdet = 2.0 * float(np.sum(np.log(np.diag(self._chol_prop))))
+        self._log_norm_prop = float(np.log(math.sqrt(math.tau) * np.diag(self._chol_prop)).sum())
         self._score = dataset.X.T @ (dataset.y - 0.5)
         self._beta_star: np.ndarray | None = None
 
@@ -265,6 +265,31 @@ def map_estimate(posterior: LogitPosterior, tol: float = 1e-8, max_iter: int = 1
     raise RuntimeError(f"mode search did not reach gradient norm {tol} in {max_iter} steps")
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a @ b summed over the shared axis one term at a time: unlike BLAS, a
+    # row of the result has the same bits alone or in a block of any size
+    out = a[:, :1] * b[0]
+    for k in range(1, len(b)):
+        out += a[:, k : k + 1] * b[k]
+    return out
+
+
+def _proposal_log_weights(posterior: LogitPosterior, betas: np.ndarray) -> np.ndarray:
+    # -nll(beta) - beta' Sigma^-1 beta / 2 + r' Sigma_prop^-1 r / 2 + const
+    # for each row, r = beta - beta* and Sigma_prop^-1 = Sigma^-1 / (1/2 + h)
+    ds = posterior.dataset
+    resid = betas - posterior.beta_star
+    prior = np.sum(_product(betas, posterior.Sigma_inv) * betas, axis=1)
+    prop = np.sum(_product(resid, posterior.Sigma_inv) * resid, axis=1) / (0.5 + posterior.h)
+    out = 0.5 * (prop - prior) + posterior._log_norm_prop
+    # passes of about 2**16 linear predictors bound the (rows, n) temporaries
+    rows = max(1, (1 << 16) // ds.n)
+    for a in range(0, len(betas), rows):
+        t = _product(betas[a : a + rows], ds.X.T)
+        out[a : a + rows] -= np.sum(np.logaddexp(0.0, t) - ds.y * t, axis=1)
+    return out
+
+
 def proposal_sample(posterior: LogitPosterior, stream: RngStream) -> np.ndarray:
     """Draw from the mode-centered Gaussian proposal N(beta*, (1/2+h) Sigma)."""
     z = stream.gen.standard_normal(posterior.d)
@@ -277,16 +302,7 @@ def proposal_log_weight(posterior: LogitPosterior, beta: np.ndarray) -> float:
     The posterior's normalizer is unknown; self-normalization downstream
     cancels it.
     """
-    from scipy.linalg import solve_triangular
-
-    resid = beta - posterior.beta_star
-    half = solve_triangular(posterior._chol_prop, resid, lower=True)
-    log_q = (
-        -0.5 * posterior.d * math.log(2.0 * math.pi)
-        - 0.5 * posterior._prop_logdet
-        - 0.5 * float(half @ half)
-    )
-    return log_unnorm_posterior(beta, posterior) - log_q
+    return float(_proposal_log_weights(posterior, np.asarray(beta, dtype=float)[None])[0])
 
 
 def draw_omega(stream: RngStream, beta: np.ndarray, posterior: LogitPosterior) -> np.ndarray:
@@ -335,11 +351,11 @@ class LogitModel(ModelBundle):
     def propose(self, stream: RngStream) -> np.ndarray:
         return proposal_sample(self.posterior, stream)
 
-    def log_weight(self, state: np.ndarray) -> float:
-        return proposal_log_weight(self.posterior, state)
+    def log_weights(self, atoms: np.ndarray) -> np.ndarray:
+        return _proposal_log_weights(self.posterior, atoms)
 
     def kernel_step(self, stream: RngStream, state: np.ndarray) -> np.ndarray:
         return pg_gibbs_step(stream, state, self.posterior)
 
-    def f_value(self, state: np.ndarray) -> float:
-        return 1.0 + float(state @ state)
+    def f_values(self, states: np.ndarray) -> np.ndarray:
+        return 1.0 + np.sum(states * states, axis=1)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bootstrap_stderr
-from mscmc import ar
-from mscmc.ar import ArConfig, ArModel, ar_log_weight
+from conftest import HEART_PATH, bootstrap_stderr
+from mscmc import engine
+from mscmc.ar import ArConfig, ArModel
 from mscmc.engine import build_initial_distribution, coordinate_functions, msc_estimate
+from mscmc.logit import LogitModel, LogitPosterior, load_heart_dataset
 from mscmc.rng import derive_stream
 
 CFG = ArConfig(rho=0.9, d=2, h=0.49, r=1.5)
@@ -69,14 +70,14 @@ class TestKernel:
 
 class TestLogWeight:
     def test_balanced_h_zero_everywhere(self):
-        cfg = ArConfig(rho=0.9, d=3, h=0.5, r=1.5)
+        model = ArModel(ArConfig(rho=0.9, d=3, h=0.5, r=1.5))
         gen = derive_stream(22, "ar", 0).gen
         for _ in range(20):
-            assert ar_log_weight(gen.standard_normal(3), cfg) == 0.0
+            assert model.log_weight(gen.standard_normal(3)) == 0.0
 
     def test_origin_value(self):
-        assert ar_log_weight(np.zeros(2), CFG) == pytest.approx(math.log(0.99), rel=1e-12)
-        assert ar_log_weight(np.zeros(2), CFG) == pytest.approx(-0.01005, abs=5e-6)
+        assert MODEL.log_weight(np.zeros(2)) == pytest.approx(math.log(0.99), rel=1e-12)
+        assert MODEL.log_weight(np.zeros(2)) == pytest.approx(-0.01005, abs=5e-6)
 
     def test_weight_second_moment_closed_form(self):
         # E_proposal[w^2] integrated by Monte Carlo against the closed form
@@ -84,7 +85,7 @@ class TestLogWeight:
         n = 100_000
         scale = math.sqrt(0.5 + CFG.h)
         draws = scale * gen.standard_normal((n, CFG.d))
-        vals = np.exp([2.0 * ar_log_weight(x, CFG) for x in draws])
+        vals = np.exp([2.0 * MODEL.log_weight(x) for x in draws])
         closed = (1 / (2 * math.sqrt(2 * CFG.h)) + math.sqrt(CFG.h / 2)) ** CFG.d
         se = vals.std(ddof=1) / math.sqrt(n)
         assert abs(vals.mean() - closed) < 3 * se
@@ -129,12 +130,21 @@ class TestAtoms:
 
 
 class TestProposeBlock:
-    @pytest.mark.parametrize("d, lo, hi", [(2, 0, 40), (16, 7, 30), (3, 2**64 - 9, 2**64)])
+    @pytest.mark.parametrize(
+        "d, lo, hi", [(2, 0, 40), (16, 7, 30), (3, 2**64 - 9, 2**64), ("heart", 5, 60)]
+    )
     def test_rows_equal_scalar_proposals(self, monkeypatch, d, lo, hi):
-        monkeypatch.setattr(ar, "_BLOCK_KEYS", 8)  # several chunks, a ragged last one
-        model = ArModel(ArConfig(rho=0.9, d=d, h=0.49, r=1.5))
-        atoms, logw = model.propose_block(31, lo, hi)
-        assert atoms.shape == (hi - lo, d) and logw.shape == (hi - lo,)
+        if d == "heart":  # variable-consumption proposal: the per-atom loop
+            dataset = load_heart_dataset(HEART_PATH)
+            model = LogitModel(LogitPosterior(dataset, 10.0 * np.eye(dataset.d)), r=1.001)
+        else:
+            model = ArModel(ArConfig(rho=0.9, d=d, h=0.49, r=1.5))
+            # about 8 rows a chunk: several chunks, a ragged last one
+            monkeypatch.setattr(engine, "_WINDOW_WORDS", 8 * d + 1)
+        monkeypatch.setitem(engine._CTX, "model", model)
+        monkeypatch.setitem(engine._CTX, "master_seed", 31)
+        atoms, logw = engine._propose_block((lo, hi))
+        assert len(atoms) == hi - lo and logw.shape == (hi - lo,)
         for i in range(lo, hi):
             x = model.propose(derive_stream(31, "init", i))
             assert np.array_equal(atoms[i - lo], x)

@@ -151,6 +151,41 @@ class TestRunLogit:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["mean_tau"] == pytest.approx(1.0, abs=0.05)
 
+    def test_worker_counts_byte_identical(self, tmp_path):
+        # 12 atoms come in restart blocks of 3 rows at 1 worker and of 1 or 2
+        # rows at 2 and 3, where a BLAS product gives some rows other bits
+        # (at each of these seeds); the narrow standardized prior keeps many
+        # atoms' weights above zero
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            model="logit",
+            n_atoms=12,
+            n_chains=40,
+            logit={
+                "data_path": HEART_PATH,
+                "sigma_scale": 0.01,
+                "h": 0.49,
+                "r": 1.001,
+                "standardize": True,
+            },
+        )
+        for seed in (1, 2, 3):
+            outs = []
+            for workers in (1, 2, 3):
+                out = tmp_path / f"s{seed}w{workers}"
+                args = ["--seed", str(seed), "--workers", str(workers), "--out", str(out)]
+                assert main(["run-logit", str(cfg), *args]) == 0
+                diag = json.loads((out / "diagnostics.json").read_text())
+                outs.append(
+                    (
+                        (out / "estimates.csv").read_bytes(),
+                        (out / "excursions.csv").read_bytes(),
+                        diag["ess"],
+                        diag["w2_hat"],
+                    )
+                )
+            assert outs[0] == outs[1] == outs[2]
+
     def test_compare_report_after_baseline(self, tmp_path, capsys):
         out = tmp_path / "out"
         common = dict(
@@ -227,6 +262,21 @@ class TestConfigHandling:
             ("plan", {"plan": {"eps": "abc"}}, None),
             ("plan", {"plan": {"dims": ["x"]}}, None),
             ("plan", {"plan": {"dims": [0]}}, None),
+            ("plan", {"plan": {"dims": [1.9]}}, None),
+            ("plan", {"plan": {"dims": [True]}}, None),
+            ("run-ar", {"ar": {"d": 2.7}}, None),
+            ("run-ar", {"ar": {"d": True}}, None),
+            ("run-ar", {"ar": {"d": "2"}}, None),
+            (
+                "baseline-gibbs",
+                {"logit": {"data_path": HEART_PATH}, "baseline": {"steps": 400.9}},
+                None,
+            ),
+            (
+                "baseline-gibbs",
+                {"logit": {"data_path": HEART_PATH}, "baseline": {"steps": 400, "burn_in": 40.5}},
+                None,
+            ),
             ("plan", {"ar": {"rho": 1.5}}, None),
             ("run-logit", {"logit": {"data_path": HEART_PATH, "standardize": "no"}}, None),
             ("run-ar", {"master_seed": 2**64}, None),
@@ -253,6 +303,13 @@ class TestConfigHandling:
             "plan-eps",
             "plan-dims",
             "plan-dims-zero",
+            "plan-dims-fraction",
+            "plan-dims-bool",
+            "ar-d-fraction",
+            "ar-d-bool",
+            "ar-d-text",
+            "baseline-steps-fraction",
+            "baseline-burn-in-fraction",
             "plan-ar-rho",
             "logit-standardize-text",
             "seed-above-64-bits",

@@ -47,40 +47,43 @@ class TestDriftSpec:
 class ConstantWeightModel(ModelBundle):
     """Uniform proposal on [0,1), flat weights, kernel contracts to zero."""
 
+    words_per_atom = 1
+
     def __init__(self):
         self.drift = DriftSpec(gamma=0.5, K=1.0, R=3.0)
 
-    def propose(self, stream):
-        return np.array([stream.gen.random()])
+    def atoms(self, words):
+        return (words >> np.uint64(11)) * 2.0**-53  # Generator.random() of each word
 
-    def log_weight(self, state):
-        return 0.0
+    def log_weights(self, atoms):
+        return np.zeros(len(atoms))
 
     def kernel_step(self, stream, state):
         return 0.5 * state
 
-    def f_value(self, state):
-        return 1.0 + float(state @ state)
+    def f_values(self, states):
+        return 1.0 + np.sum(states * states, axis=1)
 
 
 class SingletonModel(ModelBundle):
     """One absorbing point; every excursion returns immediately."""
 
+    words_per_atom = 1
+
     def __init__(self):
         self.drift = DriftSpec(gamma=0.5, K=1.0, R=3.0)
 
-    def propose(self, stream):
-        stream.gen.random()
-        return np.array([0.0])
+    def atoms(self, words):
+        return np.zeros((len(words), 1))
 
-    def log_weight(self, state):
-        return 0.0
+    def log_weights(self, atoms):
+        return np.zeros(len(atoms))
 
     def kernel_step(self, stream, state):
         return np.array([0.0])
 
-    def f_value(self, state):
-        return 1.0
+    def f_values(self, states):
+        return np.ones(len(states))
 
 
 class TwoStepCycleModel(SingletonModel):
@@ -89,16 +92,16 @@ class TwoStepCycleModel(SingletonModel):
     def kernel_step(self, stream, state):
         return np.array([5.0]) if state[0] == 0.0 else np.array([0.0])
 
-    def f_value(self, state):
-        return 1.0 + float(state @ state)
+    def f_values(self, states):
+        return 1.0 + np.sum(states * states, axis=1)
 
 
 class NeverReturnModel(SingletonModel):
     def kernel_step(self, stream, state):
         return np.array([10.0])
 
-    def f_value(self, state):
-        return 1.0 + float(state @ state)
+    def f_values(self, states):
+        return 1.0 + np.sum(states * states, axis=1)
 
 
 class TestBuildInitialDistribution:
@@ -212,21 +215,22 @@ class RecordingModel(ModelBundle):
     def __init__(self, inner):
         self.inner = inner
         self.drift = inner.drift
+        self.words_per_atom = inner.words_per_atom
         self.trace = []
 
-    def propose(self, stream):
-        return self.inner.propose(stream)
+    def atoms(self, words):
+        return self.inner.atoms(words)
 
-    def log_weight(self, state):
-        return self.inner.log_weight(state)
+    def log_weights(self, atoms):
+        return self.inner.log_weights(atoms)
 
     def kernel_step(self, stream, state):
         out = self.inner.kernel_step(stream, state)
         self.trace.append(self.inner.f_value(out))
         return out
 
-    def f_value(self, state):
-        return self.inner.f_value(state)
+    def f_values(self, states):
+        return self.inner.f_values(states)
 
 
 class TestMscEstimate:
@@ -293,18 +297,22 @@ class TestMscEstimate:
     @pytest.mark.parametrize("d, rho", [(1, 0.9), (2, 0.9), (16, 0.9), (2, 0.995)])
     def test_lockstep_equals_scalar_loop(self, monkeypatch, d, rho):
         # RecordingModel sets no words_per_step, so it runs the per-chain loop;
-        # a 40-word window forces chunked first steps and multi-step windows
+        # a 40-word window forces chunked first steps and multi-step windows.
+        # A lambda between the coordinates is called on each row while the
+        # coordinates are read as columns
         model = ArModel(ArConfig(rho=rho, d=d, h=0.49, r=1.5))
         atoms = build_initial_distribution(model, 2_000, master_seed=12, workers=1)
-        functions = coordinate_functions(d)
-        scalar = msc_estimate(RecordingModel(model), atoms, 1_500, functions, 12, workers=1)
-        assert scalar.taus.max() > 1
-        for window in (engine._WINDOW_WORDS, 40):
-            monkeypatch.setattr(engine, "_WINDOW_WORDS", window)
-            lockstep = msc_estimate(model, atoms, 1_500, functions, 12, workers=1)
-            assert np.array_equal(lockstep.estimates, scalar.estimates)
-            assert np.array_equal(lockstep.stderrs, scalar.stderrs)
-            assert np.array_equal(lockstep.taus, scalar.taus)
+        coords = coordinate_functions(d)
+        windows = (engine._WINDOW_WORDS, 40)
+        for functions in (coords, coords[:1] + [lambda x: 1.0 + float(x @ x)] + coords[1:]):
+            scalar = msc_estimate(RecordingModel(model), atoms, 1_500, functions, 12, workers=1)
+            assert scalar.taus.max() > 1
+            for window in windows:
+                monkeypatch.setattr(engine, "_WINDOW_WORDS", window)
+                lockstep = msc_estimate(model, atoms, 1_500, functions, 12, workers=1)
+                assert np.array_equal(lockstep.estimates, scalar.estimates)
+                assert np.array_equal(lockstep.stderrs, scalar.stderrs)
+                assert np.array_equal(lockstep.taus, scalar.taus)
         # no test functions at all also runs in lockstep
         assert np.array_equal(msc_estimate(model, atoms, 1_500, [], 12, workers=1).taus, scalar.taus)
 
