@@ -72,12 +72,10 @@ def rwm_step_factor(posterior: LogitPosterior, scale_override: float | None = No
     optimal-scaling rule for Gaussian-like targets.  ``scale_override``
     multiplies the step size.
     """
-    from scipy.linalg import cholesky
-
     step = 2.38 / math.sqrt(posterior.d)
     if scale_override is not None:
         step *= scale_override
-    return step * cholesky(posterior.laplace_covariance(), lower=True)
+    return step * np.linalg.cholesky(posterior.laplace_covariance())
 
 
 def run_rwm(

@@ -30,7 +30,7 @@ from .engine import (
     resolve_workers,
 )
 from .logit import DataFormatError, LogitModel, LogitPosterior, load_heart_dataset
-from .rng import derive_stream, sample_polya_gamma_batch
+from .rng import CategoricalSampler, derive_stream, sample_polya_gamma_batch
 
 SCHEMA_VERSION = "msc-output-1"
 
@@ -85,10 +85,12 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
 
 
 def _number(key: str, val, kind):
-    # val as kind; booleans, text and (for int) fractions are rejected, not truncated
+    # val as kind; booleans, text, inf, nan and (for int) fractions are rejected
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         raise ConfigError(f"config key {key!r} must be a number (got {val!r})")
-    if kind is int and not (math.isfinite(val) and int(val) == val):
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ConfigError(f"config key {key!r} must be finite (got {val!r})")
+    if kind is int and int(val) != val:
         raise ConfigError(f"config key {key!r} must be an integer (got {val!r})")
     return kind(val)
 
@@ -112,12 +114,12 @@ def _ar_config(cfg: dict) -> ArConfig:
     block = _block(cfg, "ar")
     try:
         return ArConfig(
-            rho=float(block.get("rho", 0.9)),
+            rho=_number("ar.rho", block.get("rho", 0.9), float),
             d=_number("ar.d", block.get("d", 2), int),
-            h=float(block.get("h", 0.49)),
-            r=float(block.get("r", 1.5)),
+            h=_number("ar.h", block.get("h", 0.49), float),
+            r=_number("ar.r", block.get("r", 1.5), float),
         )
-    except (TypeError, ValueError) as err:
+    except ValueError as err:
         raise ConfigError(f"bad AR parameters: {err}") from None
 
 
@@ -126,12 +128,9 @@ def _logit_model(cfg: dict) -> LogitModel:
     data_path = block.get("data_path")
     if not data_path:
         raise ConfigError("config key 'logit.data_path' is required")
-    try:
-        sigma_scale = float(block.get("sigma_scale", 10.0))
-        h = float(block.get("h", 0.49))
-        r = float(block.get("r", 1.001))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad logit parameters: {err}") from None
+    sigma_scale = _number("logit.sigma_scale", block.get("sigma_scale", 10.0), float)
+    h = _number("logit.h", block.get("h", 0.49), float)
+    r = _number("logit.r", block.get("r", 1.001), float)
     standardize = block.get("standardize", False)
     if not isinstance(standardize, bool):
         raise ConfigError(f"logit.standardize must be true or false (got {standardize!r})")
@@ -189,26 +188,21 @@ def _write_diagnostics(out: str, payload: dict) -> None:
 
 def cmd_plan(cfg: dict) -> int:
     block = _block(cfg, "plan")
-    ar = _block(cfg, "ar")
+    ar = _ar_config(cfg)
     try:
-        eps = float(block.get("eps", 0.1))
-        delta = float(block.get("delta", 0.1))
+        eps = _number("plan.eps", block.get("eps", 0.1), float)
+        delta = _number("plan.delta", block.get("delta", 0.1), float)
         dims = [_number("plan.dims", d, int) for d in block.get("dims", [1, 5, 10, 15, 20, 25, 30])]
-        rho = float(ar.get("rho", 0.9))
-        h = float(ar.get("h", 0.49))
-        r = float(ar.get("r", 1.5))
-        drift = [bounds.ar_drift_constants(rho, d, h, r) for d in dims]
-    except (TypeError, ValueError) as err:
+        if not (0 < eps < 1 and 0 < delta < 1):
+            raise ConfigError("plan.eps and plan.delta must lie in (0, 1)")
+        rows = []
+        for d in dims:
+            gamma, K, R, w2, sup_v = bounds.ar_drift_constants(ar.rho, d, ar.h, ar.r)
+            N, M = bounds.plan_sizes(eps, delta, gamma, K, R, w2, sup_v)
+            rows.append([d, gamma, K, R, bounds.effective_rate(gamma, K, R), w2, N, M])
+    except (TypeError, ValueError, ArithmeticError) as err:
         raise ConfigError(f"bad plan parameters: {err}") from None
-    if not (0 < eps < 1 and 0 < delta < 1):
-        raise ConfigError("plan.eps and plan.delta must lie in (0, 1)")
     header = ["d", "gamma", "K", "R", "gamma_R", "w2", "N_required", "M_required"]
-    rows = []
-    for d, (gamma, K, R, w2, sup_v) in zip(dims, drift):
-        N, M = bounds.plan_sizes(eps, delta, gamma, K, R, w2, sup_v)
-        rows.append(
-            [d, gamma, K, R, bounds.effective_rate(gamma, K, R), w2, N, M]
-        )
     out = _ensure_out(cfg)
     _echo_config(cfg, out)
     path = os.path.join(out, "plan.csv")
@@ -269,7 +263,10 @@ def _run_model(cfg: dict, model, names: list[str]) -> int:
 
 def cmd_run_ar(cfg: dict) -> int:
     config = _ar_config(cfg)
-    model = ArModel(config)
+    try:
+        model = ArModel(config)
+    except ArithmeticError as err:
+        raise ConfigError(f"bad AR parameters: {err}") from None
     names = [f"x{j}" for j in range(config.d)]
     return _run_model(cfg, model, names)
 
@@ -284,13 +281,11 @@ def cmd_run_logit(cfg: dict) -> int:
 
 def _baseline_common(cfg: dict, which: str) -> int:
     block = _block(cfg, "baseline")
-    try:
-        steps = _number("baseline.steps", block.get("steps", 100_000), int)
-        burn_in = _number("baseline.burn_in", block.get("burn_in", steps // 10), int)
-        override = block.get("rwm_scale_override")
-        scale_override = None if override is None else float(override)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad baseline parameters: {err}") from None
+    steps = _number("baseline.steps", block.get("steps", 100_000), int)
+    burn_in = _number("baseline.burn_in", block.get("burn_in", steps // 10), int)
+    override = block.get("rwm_scale_override")
+    if override is not None:
+        override = _number("baseline.rwm_scale_override", override, float)
     if not steps > burn_in >= 0:
         raise ConfigError("baseline needs steps > burn_in >= 0")
     start_mode = block.get("start", "atoms")
@@ -307,8 +302,6 @@ def _baseline_common(cfg: dict, which: str) -> int:
             model, cfg["n_atoms"], cfg["master_seed"], workers=cfg["workers"]
         )
         stream = derive_stream(cfg["master_seed"], "baseline-start", 0)
-        from .rng import CategoricalSampler
-
         start = atoms.atoms[CategoricalSampler(atoms.norm_weights).sample(stream)]
     else:
         start = model.propose(derive_stream(cfg["master_seed"], "baseline-start", 0))
@@ -322,7 +315,7 @@ def _baseline_common(cfg: dict, which: str) -> int:
             burn_in,
             start,
             cfg["master_seed"],
-            scale_override=scale_override,
+            scale_override=override,
         )
     runtime = time.perf_counter() - t0
     names = posterior.dataset.column_names

@@ -185,16 +185,16 @@ class LogitPosterior:
         Sigma = np.asarray(Sigma, dtype=float)
         if Sigma.shape != (dataset.d, dataset.d):
             raise ValueError("Sigma must be d x d")
-        from scipy.linalg import cho_solve, cholesky
-
+        if not np.all(np.isfinite(Sigma)):
+            raise ValueError("Sigma must be finite")
         self.dataset = dataset
         self.Sigma = Sigma
         self.h = h
         try:
-            self._chol_Sigma = cholesky(Sigma, lower=True)
+            self._chol_Sigma = np.linalg.cholesky(Sigma)
         except np.linalg.LinAlgError:
             raise ValueError("Sigma must be symmetric positive-definite") from None
-        self.Sigma_inv = cho_solve((self._chol_Sigma, True), np.eye(dataset.d))
+        self.Sigma_inv = np.linalg.inv(Sigma)
         # proposal covariance (1/2 + h) Sigma: its factor and log normalizing constant
         self._chol_prop = math.sqrt(0.5 + h) * self._chol_Sigma
         self._log_norm_prop = float(np.log(math.sqrt(math.tau) * np.diag(self._chol_prop)).sum())
@@ -213,11 +213,7 @@ class LogitPosterior:
 
     def laplace_covariance(self) -> np.ndarray:
         """Inverse curvature at the mode, the natural scale of the posterior."""
-        from scipy.linalg import cho_solve, cholesky
-
-        hess = neg_log_lik_hess(self.beta_star, self.dataset) + self.Sigma_inv
-        chol = cholesky(hess, lower=True)
-        return cho_solve((chol, True), np.eye(self.d))
+        return np.linalg.inv(neg_log_lik_hess(self.beta_star, self.dataset) + self.Sigma_inv)
 
 
 def log_unnorm_posterior(beta: np.ndarray, posterior: LogitPosterior) -> float:
@@ -232,8 +228,6 @@ def map_estimate(posterior: LogitPosterior, tol: float = 1e-8, max_iter: int = 1
     The objective neg_log_lik + quadratic penalty is strictly convex, so the
     mode is unique; iteration stops when the gradient norm is at most ``tol``.
     """
-    from scipy.linalg import cho_solve, cholesky
-
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     ds = posterior.dataset
@@ -245,10 +239,10 @@ def map_estimate(posterior: LogitPosterior, tol: float = 1e-8, max_iter: int = 1
             return beta
         hess = neg_log_lik_hess(beta, ds) + posterior.Sigma_inv
         try:
-            chol = cholesky(hess, lower=True)
+            chol = np.linalg.cholesky(hess)
         except np.linalg.LinAlgError:
             raise RuntimeError("Newton step failed: curvature matrix not SPD") from None
-        step = cho_solve((chol, True), grad)
+        step = np.linalg.solve(chol.T, np.linalg.solve(chol, grad))
         scale = 1.0
         for _ in range(60):
             cand = beta - scale * step
@@ -314,23 +308,20 @@ def draw_omega(stream: RngStream, beta: np.ndarray, posterior: LogitPosterior) -
 def pg_gibbs_step(stream: RngStream, beta: np.ndarray, posterior: LogitPosterior) -> np.ndarray:
     """One scan of the two-block Gibbs kernel; returns the next beta.
 
-    A single SPD factorization of X' Omega X + Sigma^{-1} serves both the
-    conditional-mean solve and the Gaussian draw.
+    One factor L L' = X' Omega X + Sigma^{-1} serves both the conditional
+    mean and the Gaussian draw: beta = L^{-T} (L^{-1} X'(y - 1/2) + z).
     """
-    from scipy.linalg import cho_solve, cholesky, solve_triangular
-
     omega = draw_omega(stream, beta, posterior)
     X = posterior.dataset.X
     prec = (X * omega[:, None]).T @ X + posterior.Sigma_inv
     try:
-        chol = cholesky(prec, lower=True)
+        chol = np.linalg.cholesky(prec)
     except np.linalg.LinAlgError:
         raise RuntimeError(
             "conditional precision factorization failed (ill-conditioned design?)"
         ) from None
-    mu = cho_solve((chol, True), posterior._score)
     z = stream.gen.standard_normal(posterior.d)
-    return mu + solve_triangular(chol.T, z, lower=False)
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, posterior._score) + z)
 
 
 class LogitModel(ModelBundle):

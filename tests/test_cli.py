@@ -296,6 +296,23 @@ class TestConfigHandling:
                 {"logit": {"data_path": HEART_PATH}, "baseline": {"start": "nope"}},
                 None,
             ),
+            ("run-ar", {"ar": {"rho": "0.9"}}, None),
+            ("run-ar", {"ar": {"h": True}}, None),
+            ("run-ar", {"ar": {"r": math.inf}}, None),
+            ("run-ar", {"ar": {"h": 1e-320}}, None),
+            ("plan", {"plan": {"eps": "0.1"}}, None),
+            ("plan", {"plan": {"delta": math.nan}}, None),
+            ("plan", {"ar": {"r": 1e308}}, None),
+            ("plan", {"ar": {"h": 1e-320}}, None),
+            ("plan", {"plan": {"eps": 1e-200}}, None),
+            ("run-logit", {"logit": {"data_path": HEART_PATH, "sigma_scale": True}}, None),
+            ("run-logit", {"logit": {"data_path": HEART_PATH, "sigma_scale": math.nan}}, None),
+            ("run-logit", {"logit": {"data_path": HEART_PATH, "h": "0.49"}}, None),
+            (
+                "baseline-rwm",
+                {"logit": {"data_path": HEART_PATH}, "baseline": {"rwm_scale_override": math.inf}},
+                None,
+            ),
         ],
         ids=[
             "logit-sigma-scale",
@@ -321,6 +338,19 @@ class TestConfigHandling:
             "plan-ar-not-object",
             "baseline-not-object",
             "baseline-start",
+            "ar-rho-text",
+            "ar-h-bool",
+            "ar-r-infinite",
+            "ar-h-overflow",
+            "plan-eps-text",
+            "plan-delta-nan",
+            "plan-ar-r-overflow",
+            "plan-ar-h-overflow",
+            "plan-eps-underflow",
+            "logit-sigma-scale-bool",
+            "logit-sigma-scale-nan",
+            "logit-h-text",
+            "baseline-rwm-scale-infinite",
         ],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, monkeypatch, command, overrides, env):
@@ -372,16 +402,21 @@ def assert_no_scipy(after):
 
 
 assert_no_scipy("import mscmc, mscmc.cli")
-assert main(["run-ar", sys.argv[1], "--workers", "1"]) == 0
-assert_no_scipy("run-ar")
-assert main(["plan", sys.argv[1]]) == 0
-assert_no_scipy("plan")
-assert main(["run-logit", sys.argv[2], "--workers", "1"]) == 0
+for command, cfg in (
+    ("plan", sys.argv[1]),
+    ("run-ar", sys.argv[1]),
+    ("run-logit", sys.argv[2]),
+    ("baseline-gibbs", sys.argv[2]),
+    ("baseline-rwm", sys.argv[2]),
+    ("pg-selftest", sys.argv[2]),
+):
+    assert main([command, cfg, "--workers", "1"]) == 0, command
+    assert_no_scipy(command)
 """
 
 
-class TestScipyFreeArPath:
-    def test_ar_run_and_plan_import_no_scipy(self, tmp_path):
+class TestScipyFree:
+    def test_no_command_imports_scipy(self, tmp_path):
         ar_cfg = write_config(
             tmp_path / "ar.json",
             out_dir=str(tmp_path / "ar"),
@@ -396,6 +431,7 @@ class TestScipyFreeArPath:
             n_atoms=200,
             n_chains=10,
             logit={"data_path": HEART_PATH, "sigma_scale": 10.0, "h": 0.49, "r": 1.001},
+            baseline={"steps": 200, "burn_in": 20, "start": "atoms"},
         )
         src = os.path.join(os.path.dirname(HEART_PATH), os.pardir, "src")
         env = dict(os.environ)
@@ -408,4 +444,5 @@ class TestScipyFreeArPath:
         )
         assert proc.returncode == 0, proc.stderr
         assert os.path.exists(tmp_path / "ar" / "estimates.csv")
-        assert os.path.exists(tmp_path / "logit" / "estimates.csv")
+        for name in ("estimates.csv", "baseline_gibbs.csv", "baseline_rwm.csv"):
+            assert os.path.exists(tmp_path / "logit" / name)

@@ -168,6 +168,9 @@ class TestMapEstimate:
         ds = Dataset(X=np.array([[1.0]]), y=np.array([1.0]), column_names=["x"])
         with pytest.raises(ValueError, match="positive-definite"):
             LogitPosterior(ds, np.array([[-1.0]]))
+        for bad in (np.nan, np.inf):  # numpy's Cholesky factors these without an error
+            with pytest.raises(ValueError, match="finite"):
+                LogitPosterior(ds, np.array([[bad]]))
         with pytest.raises(ValueError, match="h must"):
             LogitPosterior(ds, np.array([[10.0]]), h=0.8)
         with pytest.raises(ValueError, match="h must"):

@@ -168,6 +168,42 @@ class TestNdtri:
         assert np.array_equal(ndtri(block[:2]), whole[:8].reshape(2, 4))
 
 
+class TestLogNdtr:
+    @pytest.fixture(scope="class")
+    def grid(self):
+        # [-1000, 40] in steps of 1e-3, plus Cody's region boundaries
+        # |x| / sqrt 2 = 0.46875 and 4 and the floats either side of them
+        edges = np.array([0.46875, 4.0]) * math.sqrt(2.0)
+        edges = np.concatenate([edges, -edges])
+        near = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
+        return np.concatenate([np.linspace(-1000.0, 40.0, 1_040_001), near])
+
+    def test_against_scipy(self, grid):
+        from scipy.special import log_ndtr
+
+        from mscmc.rng import _log_ndtr
+
+        got, want = _log_ndtr(grid), log_ndtr(grid)
+        # each side is a few ulp off in the upper half (against 40-digit
+        # values: up to 3e-15 relative here, 7e-15 for scipy, which takes
+        # log(ndtr(x)) up to x = 6).  Beyond x = 6 scipy returns -ndtr(-x),
+        # whose relative error grows like x^2 ulp (3e-13 at x = 30), so the
+        # upper tail is held to an absolute bound (log Phi(6) is -1e-9)
+        low = grid <= 6.0
+        np.testing.assert_allclose(got[low], want[low], rtol=2e-14, atol=0.0)
+        np.testing.assert_allclose(got[~low], want[~low], rtol=0.0, atol=1e-22)
+
+    def test_branch_probs_against_scipy_formula(self, monkeypatch):
+        from scipy.special import log_ndtr
+
+        from mscmc import rng
+
+        z = np.concatenate([np.linspace(0.0, 2000.0, 200_001), np.geomspace(1e-8, 1.0, 1_001)])
+        got = rng._right_branch_probs(z)
+        monkeypatch.setattr(rng, "_log_ndtr", log_ndtr)
+        np.testing.assert_allclose(got, rng._right_branch_probs(z), rtol=0.0, atol=1e-15)
+
+
 class TestStdNormal:
     def test_moments(self):
         stream = derive_stream(7, "normal", 0)
