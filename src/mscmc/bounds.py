@@ -28,7 +28,6 @@ __all__ = [
     "plan_sizes",
     "ar_drift_constants",
     "logit_gibbs_constants",
-    "spectral_norm",
     "logit_mse_bound",
 ]
 
@@ -106,6 +105,18 @@ def effective_rate(gamma: float, K: float, R: float) -> float:
     return gamma + K / R
 
 
+def _mse_halves(
+    gamma: float, K: float, R: float, w2: float, sup_V_C: float
+) -> tuple[float, float]:
+    """Per-sample coefficients (a, b) of the chain-variance and restart-bias
+    halves: the MSE bound is (a/sqrt(M) + b/sqrt(N))^2, with
+    a = rate sqrt(R+K) / (2-rate) and b = 2 A sqrt(w2) / (1-rate)."""
+    rate = effective_rate(gamma, K, R)
+    a = rate * math.sqrt(R + K) / (2.0 - rate)
+    b = 2.0 * (gamma * sup_V_C + 2.0 * K - 1.0) * math.sqrt(w2) / (1.0 - rate)
+    return a, b
+
+
 def bias_amplitude(inp: GeometricBoundInput) -> float:
     """gamma * sup_V_C + 2K - 1, the excursion-operator amplitude (f = V)."""
     return inp.gamma * inp.sup_V_C + 2.0 * inp.K - 1.0
@@ -113,30 +124,21 @@ def bias_amplitude(inp: GeometricBoundInput) -> float:
 
 def bias_bound(inp: GeometricBoundInput) -> float:
     """Mean squared bias of the weighted restart stage:
-    4 A^2 w2 / (N (1-rate)^2) - 2 A^2 / (N (1-rate)^2)."""
-    rate = effective_rate(inp.gamma, inp.K, inp.R)
-    a = bias_amplitude(inp)
-    core = a * a / (inp.N * (1.0 - rate) ** 2)
-    return 4.0 * core * inp.w2 - 2.0 * core
+    4 A^2 w2 / (N (1-rate)^2) - 2 A^2 / (N (1-rate)^2) = b^2 (1 - 1/(2 w2)) / N."""
+    _, b = _mse_halves(inp.gamma, inp.K, inp.R, inp.w2, inp.sup_V_C)
+    return b * b / inp.N * (1.0 - 0.5 / inp.w2)
 
 
 def variance_bound(inp: GeometricBoundInput) -> float:
-    """Conditional variance of the chain average:
-    ((R+K)/M) * (rate/2 / (1 - rate/2))^2."""
-    rate = effective_rate(inp.gamma, inp.K, inp.R)
-    half = 0.5 * rate
-    return (inp.R + inp.K) / inp.M * (half / (1.0 - half)) ** 2
+    """Conditional variance of the chain average: a^2 / M."""
+    a, _ = _mse_halves(inp.gamma, inp.K, inp.R, inp.w2, inp.sup_V_C)
+    return a * a / inp.M
 
 
 def mse_bound(inp: GeometricBoundInput) -> float:
-    """Mean squared error bound:
-    (rate sqrt(R+K) / (sqrt(M)(2-rate)) + 2 A sqrt(w2) / (sqrt(N)(1-rate)))^2."""
-    rate = effective_rate(inp.gamma, inp.K, inp.R)
-    var_half = rate * math.sqrt(inp.R + inp.K) / (math.sqrt(inp.M) * (2.0 - rate))
-    bias_half = 2.0 * bias_amplitude(inp) * math.sqrt(inp.w2) / (
-        math.sqrt(inp.N) * (1.0 - rate)
-    )
-    return (var_half + bias_half) ** 2
+    """Mean squared error bound (a/sqrt(M) + b/sqrt(N))^2."""
+    a, b = _mse_halves(inp.gamma, inp.K, inp.R, inp.w2, inp.sup_V_C)
+    return (a / math.sqrt(inp.M) + b / math.sqrt(inp.N)) ** 2
 
 
 def simplified_mse_bound(inp: GeometricBoundInput) -> float:
@@ -198,13 +200,17 @@ def plan_sizes(
     """
     if not 0.0 < eps < 1.0 or not 0.0 < delta < 1.0:
         raise ValueError("eps and delta must lie in (0, 1)")
-    rate = effective_rate(gamma, K, R)
-    a = rate * math.sqrt(R + K) / (2.0 - rate)
-    b = 2.0 * (gamma * sup_V_C + 2.0 * K - 1.0) * math.sqrt(w2) / (1.0 - rate)
+    a, b = _mse_halves(gamma, K, R, w2, sup_V_C)
     budget = delta * eps**2
     M = math.ceil(4.0 * a * a / budget)
     N = math.ceil(4.0 * b * b / budget)
     return N, max(M, 2)
+
+
+def _proposal_tilt(h: float) -> float:
+    # per-coordinate chi-square factor of a Gaussian proposal with variance
+    # (1/2 + h) times the target's: 1/(2 sqrt(2h)) + sqrt(h/2) >= 1
+    return 1.0 / (2.0 * math.sqrt(2.0 * h)) + math.sqrt(h / 2.0)
 
 
 def ar_drift_constants(
@@ -223,37 +229,7 @@ def ar_drift_constants(
     gamma = rho * rho
     K = (1.0 - rho * rho) * (1.0 + d)
     R = 1.0 + r * d
-    w2 = (1.0 / (2.0 * math.sqrt(2.0 * h)) + math.sqrt(h / 2.0)) ** d
-    return gamma, K, R, w2, R
-
-
-def spectral_norm(mat: np.ndarray, rel_tol: float = 1e-10, max_iter: int = 100_000) -> float:
-    """Largest singular value via power iteration on mat^T mat (or mat itself
-    when symmetric PSD), to relative tolerance ``rel_tol``."""
-    a = np.asarray(mat, dtype=float)
-    sym = a.shape[0] == a.shape[1] and np.allclose(a, a.T, rtol=1e-12, atol=1e-12)
-    gram = a if sym else a.T @ a
-    v = np.ones(gram.shape[0]) / math.sqrt(gram.shape[0])
-    lam = 0.0
-    for _ in range(max_iter):
-        w = gram @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        lam_new = float(v @ (gram @ v))
-        if abs(lam_new - lam) <= rel_tol * max(abs(lam_new), 1e-300):
-            lam = lam_new
-            break
-        lam = lam_new
-    return abs(lam) if sym else math.sqrt(abs(lam))
-
-
-def _logdet_plus_identity(scale: float, sigma: np.ndarray) -> float:
-    # log det(scale * sigma + I) via triangular factorization, safe at high dim
-    m = scale * np.asarray(sigma, dtype=float) + np.eye(sigma.shape[0])
-    chol = np.linalg.cholesky(m)
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return gamma, K, R, _proposal_tilt(h) ** d, R
 
 
 def logit_gibbs_constants(
@@ -266,10 +242,10 @@ def logit_gibbs_constants(
     """Drift and proposal constants of the latent-variable Gibbs chain for
     Bayesian logistic regression.
 
-    Returns a dict with keys L, gamma_r, R, K, W_d, chi2_bound, plus the
-    diagnostic K_with_trace (K + tr(Sigma), the one-step second-moment bound
-    before the trace term is dropped).  The chain's drift has gamma = 0,
-    K = 1 + L, and radius R = 1 + r L, which is only valid when L > 0.
+    Returns a dict with keys L, K, R, W_d and log_W_d.  The chain's drift
+    has gamma = 0, K = 1 + L, and radius R = 1 + r L, which is only valid
+    when L > 0.  W_d = det(|X|^2 Sigma / 4 + I) t^d, with t the proposal
+    tilt, bounds the chi-square weight moment; |X|^2 = |X^T X|.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -279,34 +255,27 @@ def logit_gibbs_constants(
     except np.linalg.LinAlgError:
         raise ValueError("Sigma must be symmetric positive-definite") from None
     d = X.shape[1]
-    sigma_norm = spectral_norm(Sigma)
     score = X.T @ (Y - 0.5)
-    L = sigma_norm**2 * float(score @ score)
-    x_sq_norm = spectral_norm(X) ** 2  # equals the spectral norm of X^T X
-    lam_star = spectral_norm(X.T @ X) / 4.0
-    log_tilt = d * math.log(1.0 / (2.0 * math.sqrt(2.0 * h)) + math.sqrt(h / 2.0))
-    log_W_d = _logdet_plus_identity(x_sq_norm / 4.0, Sigma) + log_tilt
-    log_chi2 = _logdet_plus_identity(lam_star, Sigma) + log_tilt
-    out = {
-        "L": L,
-        "gamma_r": (1.0 + L) / (1.0 + r * L),
-        "R": 1.0 + r * L,
-        "K": 1.0 + L,
-        # log values stay finite on very informative designs where the plain
-        # constants can exceed float range
-        "W_d": math.exp(log_W_d) if log_W_d < 709 else math.inf,
-        "chi2_bound": math.exp(log_chi2) if log_chi2 < 709 else math.inf,
-        "log_W_d": log_W_d,
-        "log_chi2_bound": log_chi2,
-        "K_with_trace": 1.0 + L + float(np.trace(Sigma)),
-    }
+    L = float(np.linalg.norm(Sigma, 2)) ** 2 * float(score @ score)
     if L <= 0.0:
         raise ValueError(
             "degenerate design: the score X^T(Y - 1/2) vanishes, so the radius "
             "1 + rL collapses onto K/(1-gamma) and no valid drift set exists"
         )
-    _check_drift(0.0, out["K"], out["R"])
-    return out
+    x_sq_norm = float(np.linalg.norm(X, 2)) ** 2
+    chol = np.linalg.cholesky(x_sq_norm / 4.0 * Sigma + np.eye(d))
+    log_W_d = 2.0 * float(np.sum(np.log(np.diag(chol)))) + d * math.log(_proposal_tilt(h))
+    K, R = 1.0 + L, 1.0 + r * L
+    _check_drift(0.0, K, R)
+    return {
+        "L": L,
+        "R": R,
+        "K": K,
+        # log_W_d stays finite on very informative designs where W_d
+        # exceeds float range
+        "W_d": math.exp(log_W_d) if log_W_d < 709 else math.inf,
+        "log_W_d": log_W_d,
+    }
 
 
 def logit_mse_bound(
@@ -321,14 +290,11 @@ def logit_mse_bound(
     """
     if L <= 0.0 or r <= 1.0:
         raise ValueError("need L > 0 and r > 1")
+    K, R = 1.0 + L, 1.0 + r * L
     if mode == "generic":
-        return mse_bound(
-            GeometricBoundInput(gamma=0.0, K=1.0 + L, R=1.0 + r * L, M=M, N=N, w2=W_d,
-                                sup_V_C=1.0 + r * L)
-        )
+        return mse_bound(GeometricBoundInput(gamma=0.0, K=K, R=R, M=M, N=N, w2=W_d, sup_V_C=R))
     if mode != "literal":
         raise ValueError(f"unknown mode {mode!r}")
-    rate = (1.0 + L) / (1.0 + r * L)
-    var_half = rate * math.sqrt((r + 1.0) * L + 2.0) / (math.sqrt(M) * (2.0 - rate))
-    bias_half = (2.0 * L + 1.0) * W_d / (math.sqrt(N) * (1.0 - rate))
-    return (var_half + bias_half) ** 2
+    a, _ = _mse_halves(0.0, K, R, W_d, R)
+    b = (2.0 * L + 1.0) * W_d / (1.0 - effective_rate(0.0, K, R))
+    return (a / math.sqrt(M) + b / math.sqrt(N)) ** 2

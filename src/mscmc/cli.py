@@ -52,6 +52,14 @@ DEFAULTS = {
     "out_dir": "msc-out",
 }
 
+# the keys each config block accepts; "model" is informational and not read
+_BLOCK_KEYS = {
+    "ar": {"rho", "d", "h", "r"},
+    "logit": {"data_path", "sigma_scale", "h", "r", "standardize"},
+    "plan": {"eps", "delta", "dims"},
+    "baseline": {"steps", "burn_in", "start", "rwm_scale_override"},
+}
+
 
 def load_config(path: str, overrides: argparse.Namespace) -> dict:
     try:
@@ -63,6 +71,13 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {err}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
+    # every command accepts the same keys, so one file can serve several
+    _check_keys(cfg, {*DEFAULTS, "model", *_BLOCK_KEYS})
+    for key, known in _BLOCK_KEYS.items():
+        block = cfg.get(key, {})
+        if not isinstance(block, dict):
+            raise ConfigError(f"config key {key!r} must be an object")
+        _check_keys(block, known, prefix=f"{key}.")
     merged = {**DEFAULTS, **cfg}
     if overrides.seed is not None:
         merged["master_seed"] = overrides.seed
@@ -84,6 +99,13 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
     return merged
 
 
+def _check_keys(obj: dict, known: set, prefix: str = "") -> None:
+    unknown = sorted(set(obj) - known)
+    if unknown:
+        names = ", ".join(repr(prefix + k) for k in unknown)
+        raise ConfigError(f"unknown config key {names} (known: {', '.join(sorted(known))})")
+
+
 def _number(key: str, val, kind):
     # val as kind; booleans, text, inf, nan and (for int) fractions are rejected
     if not isinstance(val, (int, float)) or isinstance(val, bool):
@@ -103,15 +125,8 @@ def _validate_numeric(cfg: dict, key: str, kind, low=None, high=None) -> None:
         raise ConfigError(f"config key {key!r} must be <= {high}")
 
 
-def _block(cfg: dict, key: str) -> dict:
-    block = cfg.get(key, {})
-    if not isinstance(block, dict):
-        raise ConfigError(f"config key {key!r} must be an object")
-    return block
-
-
 def _ar_config(cfg: dict) -> ArConfig:
-    block = _block(cfg, "ar")
+    block = cfg.get("ar", {})
     try:
         return ArConfig(
             rho=_number("ar.rho", block.get("rho", 0.9), float),
@@ -124,10 +139,13 @@ def _ar_config(cfg: dict) -> ArConfig:
 
 
 def _logit_model(cfg: dict) -> LogitModel:
-    block = _block(cfg, "logit")
+    block = cfg.get("logit", {})
     data_path = block.get("data_path")
-    if not data_path:
-        raise ConfigError("config key 'logit.data_path' is required")
+    if not isinstance(data_path, str) or not data_path:
+        # open() reads an integer as a file descriptor
+        raise ConfigError(
+            f"config key 'logit.data_path' must be a non-empty string (got {data_path!r})"
+        )
     sigma_scale = _number("logit.sigma_scale", block.get("sigma_scale", 10.0), float)
     h = _number("logit.h", block.get("h", 0.49), float)
     r = _number("logit.r", block.get("r", 1.001), float)
@@ -186,21 +204,28 @@ def _write_diagnostics(out: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _plan_params(cfg: dict) -> tuple[float, float, list[int]]:
+    block = cfg.get("plan", {})
+    eps = _number("plan.eps", block.get("eps", 0.1), float)
+    delta = _number("plan.delta", block.get("delta", 0.1), float)
+    dims = block.get("dims", [1, 5, 10, 15, 20, 25, 30])
+    if not isinstance(dims, list):
+        raise ConfigError(f"config key 'plan.dims' must be a list (got {dims!r})")
+    if not (0 < eps < 1 and 0 < delta < 1):
+        raise ConfigError("plan.eps and plan.delta must lie in (0, 1)")
+    return eps, delta, [_number("plan.dims", d, int) for d in dims]
+
+
 def cmd_plan(cfg: dict) -> int:
-    block = _block(cfg, "plan")
     ar = _ar_config(cfg)
+    eps, delta, dims = _plan_params(cfg)
     try:
-        eps = _number("plan.eps", block.get("eps", 0.1), float)
-        delta = _number("plan.delta", block.get("delta", 0.1), float)
-        dims = [_number("plan.dims", d, int) for d in block.get("dims", [1, 5, 10, 15, 20, 25, 30])]
-        if not (0 < eps < 1 and 0 < delta < 1):
-            raise ConfigError("plan.eps and plan.delta must lie in (0, 1)")
         rows = []
         for d in dims:
             gamma, K, R, w2, sup_v = bounds.ar_drift_constants(ar.rho, d, ar.h, ar.r)
             N, M = bounds.plan_sizes(eps, delta, gamma, K, R, w2, sup_v)
             rows.append([d, gamma, K, R, bounds.effective_rate(gamma, K, R), w2, N, M])
-    except (TypeError, ValueError, ArithmeticError) as err:
+    except (ValueError, ArithmeticError) as err:
         raise ConfigError(f"bad plan parameters: {err}") from None
     header = ["d", "gamma", "K", "R", "gamma_R", "w2", "N_required", "M_required"]
     out = _ensure_out(cfg)
@@ -279,8 +304,8 @@ def cmd_run_logit(cfg: dict) -> int:
     return code
 
 
-def _baseline_common(cfg: dict, which: str) -> int:
-    block = _block(cfg, "baseline")
+def _baseline_params(cfg: dict) -> tuple[int, int, str, float | None]:
+    block = cfg.get("baseline", {})
     steps = _number("baseline.steps", block.get("steps", 100_000), int)
     burn_in = _number("baseline.burn_in", block.get("burn_in", steps // 10), int)
     override = block.get("rwm_scale_override")
@@ -291,6 +316,11 @@ def _baseline_common(cfg: dict, which: str) -> int:
     start_mode = block.get("start", "atoms")
     if start_mode not in ("atoms", "proposal"):
         raise ConfigError("baseline.start must be 'atoms' or 'proposal'")
+    return steps, burn_in, start_mode, override
+
+
+def _baseline_common(cfg: dict, which: str) -> int:
+    steps, burn_in, start_mode, override = _baseline_params(cfg)
     model = _logit_model(cfg)
     posterior = model.posterior
     out = _ensure_out(cfg)

@@ -7,9 +7,19 @@ import sys
 import numpy as np
 import pytest
 
-from mscmc.cli import _write_csv, _write_taus, main
+from mscmc.cli import (
+    _ar_config,
+    _baseline_params,
+    _logit_model,
+    _plan_params,
+    _write_csv,
+    _write_taus,
+    build_parser,
+    load_config,
+    main,
+)
 
-from conftest import HEART_PATH
+from conftest import HEART_PATH, REPO_ROOT
 
 
 def write_config(path, **overrides):
@@ -313,6 +323,16 @@ class TestConfigHandling:
                 {"logit": {"data_path": HEART_PATH}, "baseline": {"rwm_scale_override": math.inf}},
                 None,
             ),
+            ("run-ar", {"n_chian": 50}, None),
+            ("run-ar", {"ar": {"rh0": 0.5}}, None),
+            ("run-ar", {"plan": {"dim": [2]}}, None),
+            ("plan", {"plan": {"epsilon": 0.1}}, None),
+            ("run-logit", {"logit": {"data_path": HEART_PATH, "sigma": 1.0}}, None),
+            (
+                "baseline-gibbs",
+                {"logit": {"data_path": HEART_PATH}, "baseline": {"step": 400}},
+                None,
+            ),
         ],
         ids=[
             "logit-sigma-scale",
@@ -351,6 +371,12 @@ class TestConfigHandling:
             "logit-sigma-scale-nan",
             "logit-h-text",
             "baseline-rwm-scale-infinite",
+            "unknown-top-level-key",
+            "ar-unknown-key",
+            "unread-block-unknown-key",
+            "plan-unknown-key",
+            "logit-unknown-key",
+            "baseline-unknown-key",
         ],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, monkeypatch, command, overrides, env):
@@ -362,6 +388,43 @@ class TestConfigHandling:
         assert main([command, str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+
+    def test_unknown_key_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "out"), ar={"rh0": 0.5})
+        assert main(["run-ar", str(cfg)]) == 2
+        assert "'ar.rh0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run-logit", "baseline-rwm"])
+    @pytest.mark.parametrize("data_path", [None, "", 3, 1, True], ids=repr)
+    def test_data_path_rejected_before_open(
+        self, tmp_path, capsys, monkeypatch, command, data_path
+    ):
+        # open() would read an integer as a file descriptor and block on a
+        # terminal, so the loader must not be reached
+        def no_open(*args, **kwargs):
+            raise AssertionError("the data file was opened")
+
+        monkeypatch.setattr("mscmc.cli.load_heart_dataset", no_open)
+        logit = {} if data_path is None else {"data_path": data_path}
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "out"), logit=logit)
+        assert main([command, str(cfg)]) == 2
+        assert "'logit.data_path' must be a non-empty string" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(os.path.join(REPO_ROOT, "configs"))))
+    def test_shipped_config_validates(self, name, monkeypatch):
+        # data paths in the shipped files are relative to the checkout root
+        monkeypatch.chdir(REPO_ROOT)
+        monkeypatch.delenv("MSC_WORKERS", raising=False)
+        path = os.path.join("configs", name)
+        cfg = load_config(path, build_parser().parse_args(["plan", path]))
+        if cfg["model"] == "logit":  # run-logit and both baselines
+            _logit_model(cfg)
+            _baseline_params(cfg)
+        else:  # run-ar and plan
+            _ar_config(cfg)
+            _plan_params(cfg)
 
 
 class TestPgSelftest:
