@@ -209,8 +209,8 @@ def _plan_params(cfg: dict) -> tuple[float, float, list[int]]:
     eps = _number("plan.eps", block.get("eps", 0.1), float)
     delta = _number("plan.delta", block.get("delta", 0.1), float)
     dims = block.get("dims", [1, 5, 10, 15, 20, 25, 30])
-    if not isinstance(dims, list):
-        raise ConfigError(f"config key 'plan.dims' must be a list (got {dims!r})")
+    if not isinstance(dims, list) or not dims:
+        raise ConfigError(f"config key 'plan.dims' must be a nonempty list (got {dims!r})")
     if not (0 < eps < 1 and 0 < delta < 1):
         raise ConfigError("plan.eps and plan.delta must lie in (0, 1)")
     return eps, delta, [_number("plan.dims", d, int) for d in dims]

@@ -20,11 +20,15 @@ the same values one stream at a time or for a whole block of streams at once.
 Two samplers draw from a stream: ``CategoricalSampler``, an inverse-CDF
 sampler over the restart weights (``pick`` maps an array of uniforms at
 once), and ``sample_polya_gamma_batch``, exact PG(1, b) draws for a whole
-vector of tilts (the latent step of the logistic Gibbs kernel).
+vector of tilts (the latent step of the logistic Gibbs kernel).  The PG
+sampler also reads its draws at counter addresses (``CounterDraws``): a
+Philox block's counter then names a tilt, a round and a block within it,
+so a tilt's draw does not depend on the batch it arrives in.
 """
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -38,6 +42,7 @@ __all__ = [
     "ndtri",
     "CategoricalSampler",
     "sample_polya_gamma_batch",
+    "CounterDraws",
     "SamplerError",
 ]
 
@@ -148,12 +153,14 @@ def _mulhilo(m: int, x: np.ndarray, hi: np.ndarray, lo: np.ndarray, tmp: tuple) 
     np.multiply(x, np.uint64(m), out=lo)
 
 
-def _philox(key0: int, key1: np.ndarray, counter: np.ndarray, out: np.ndarray) -> None:
-    # Philox4x64-10 blocks at counters (counter, 0, 0, 0) under keys
-    # (key0, key1), one lane per element, into the (lanes, 4) array out
-    c0, c1, c2, c3 = counter.copy(), *(np.zeros_like(counter) for _ in range(3))
-    hi0, lo0, hi1, lo1, k1 = (np.empty_like(counter) for _ in range(5))
-    tmp = tuple(np.empty_like(counter) for _ in range(3))
+def _philox_pass(key0: int, key1: np.ndarray, counter: tuple, out: np.ndarray) -> None:
+    # Philox4x64-10 blocks under keys (key0, key1) at counters (c0, c1, c2, c3),
+    # one lane per element of key1, into the (lanes, 4) array out
+    c0, c1, c2, c3 = (
+        np.array(np.broadcast_to(np.asarray(c, dtype=np.uint64), key1.shape)) for c in counter
+    )
+    hi0, lo0, hi1, lo1, k1 = (np.empty_like(c0) for _ in range(5))
+    tmp = tuple(np.empty_like(c0) for _ in range(3))
     for r in range(_PHILOX_ROUNDS):
         k0 = np.uint64((key0 + r * _PHILOX_W[0]) & _MASK64)
         np.add(key1, np.uint64((r * _PHILOX_W[1]) & _MASK64), out=k1)
@@ -168,6 +175,18 @@ def _philox(key0: int, key1: np.ndarray, counter: np.ndarray, out: np.ndarray) -
         c0, c1, c2, c3, hi0, lo0, hi1, lo1 = hi1, lo1, hi0, lo0, c0, c1, c2, c3
     for j, c in enumerate((c0, c1, c2, c3)):
         out[:, j] = c
+
+
+def _philox(key0: int, key1: np.ndarray, counter: tuple) -> np.ndarray:
+    # the (lanes, 4) Philox4x64-10 blocks under keys (key0, key1[l]) at
+    # counters (c0, c1, c2, c3), each word an array over the lanes or one
+    # integer for all of them, in passes of _PHILOX_LANES lanes
+    out = np.empty((key1.size, 4), dtype=np.uint64)
+    for a in range(0, key1.size, _PHILOX_LANES):
+        b = a + _PHILOX_LANES
+        part = tuple(c[a:b] if isinstance(c, np.ndarray) else c for c in counter)
+        _philox_pass(key0, key1[a:b], part, out[a:b])
+    return out
 
 
 def _index_array(index) -> np.ndarray:
@@ -210,10 +229,7 @@ def stream_words(
     key0 = int(master_seed) ^ fnv1a64(label)
     key1 = np.repeat(idx, nblocks)
     counter = np.tile(np.uint64(first + 1) + np.arange(nblocks, dtype=np.uint64), idx.size)
-    words = np.empty((key1.size, 4), dtype=np.uint64)
-    for a in range(0, key1.size, _PHILOX_LANES):
-        b = a + _PHILOX_LANES
-        _philox(key0, key1[a:b], counter[a:b], words[a:b])
+    words = _philox(key0, key1, (counter, 0, 0, 0))
     words = words.reshape(idx.size, 4 * nblocks)
     skip = offset - 4 * first
     return words[:, skip : skip + n]
@@ -394,6 +410,10 @@ class CategoricalSampler:
 # ---------------------------------------------------------------------------
 
 _PG_TRUNC = 0.64
+# Philox lanes per look-ahead pass of a counter-addressed round: a retry pass
+# costs hundreds of numpy calls whatever its size, and after the first try
+# only a few percent of the tilts are left
+_AHEAD_LANES = 1024
 
 
 def _jacobi_coefs(n: int, x: np.ndarray) -> np.ndarray:
@@ -468,23 +488,123 @@ def _right_branch_probs(z: np.ndarray) -> np.ndarray:
     return np.where(log_qdivp > 0.0, e, 1.0) / (1.0 + e)
 
 
-def _trunc_inv_gauss_draws(gen: Generator, z: np.ndarray) -> np.ndarray:
-    # inverse-Gaussian(mu=1/z, lambda=1) conditioned on (0, t]
+class _StreamRound:
+    # one sampler round's draws from a Generator, in call order: each call
+    # draws for the round's tilts sel (indices), or for all n of them when
+    # sel is None; the word index is not used
+    __slots__ = ("gen", "n")
+
+    def __init__(self, gen: Generator, n: int):
+        self.gen, self.n = gen, n
+
+    def _count(self, sel) -> int:
+        return self.n if sel is None else len(sel)
+
+    def uniform(self, word: int, sel=None) -> np.ndarray:
+        return self.gen.random(self._count(sel))
+
+    def exponential(self, word: int, sel=None) -> np.ndarray:
+        return self.gen.standard_exponential(self._count(sel))
+
+    def normal(self, word: int, sel=None) -> np.ndarray:
+        return self.gen.standard_normal(self._count(sel))
+
+
+class _CounterRound:
+    # one sampler round's draws at their addresses: word w of a tilt in round
+    # r is word w % 4 of the Philox block at counter (row, r, w // 4, 0) under
+    # key (key0, key1), read as u, -log u or ndtri(u), u = open_uniform(word).
+    # Block 0 (words 0..3) of every tilt is computed up front.  A later block
+    # is computed for the tilts that ask for it together with the blocks
+    # after it, about _AHEAD_LANES in all, so that the few tilts that try
+    # again share one Philox pass over many tries
+    __slots__ = ("key0", "key1", "row", "outer", "first", "ahead")
+
+    def __init__(self, source: "CounterDraws", tilts: np.ndarray, outer: int):
+        self.key0, self.outer = source.key0, outer
+        self.key1, self.row = source.key1[tilts], source.row[tilts]
+        self.first = self._blocks(np.arange(tilts.size), 0, 1)[:, 0]
+        self.ahead = None  # (first block, tilts, their blocks)
+
+    def _blocks(self, sel: np.ndarray, lo: int, count: int) -> np.ndarray:
+        # blocks lo..lo+count-1 of the tilts sel, as a (len(sel), count, 4) array
+        block = np.tile(np.arange(lo, lo + count, dtype=np.uint64), sel.size)
+        key1, row = np.repeat(self.key1[sel], count), np.repeat(self.row[sel], count)
+        return _philox(self.key0, key1, (row, self.outer, block, 0)).reshape(sel.size, count, 4)
+
+    def _words(self, word: int, sel: np.ndarray | None) -> np.ndarray:
+        # sel may be None (every tilt) in block 0 only: later words belong to
+        # the tilts that try again
+        block, slot = divmod(word, 4)
+        if block == 0:
+            return self.first[:, slot] if sel is None else self.first[sel, slot]
+        if self.ahead is not None:
+            lo, tilts, blocks = self.ahead
+            if lo <= block < lo + blocks.shape[1]:
+                # sel and tilts ascend, so sel is a subset of tilts if it
+                # lands on equal values
+                at = tilts.searchsorted(sel)
+                if not at.size or at[-1] < tilts.size and np.array_equal(tilts[at], sel):
+                    return blocks[at, block - lo, slot]
+        self.ahead = (block, sel, self._blocks(sel, block, max(1, _AHEAD_LANES // sel.size)))
+        return self.ahead[2][:, 0, slot]
+
+    def uniform(self, word: int, sel=None) -> np.ndarray:
+        return open_uniform(self._words(word, sel))
+
+    def exponential(self, word: int, sel=None) -> np.ndarray:
+        return -np.log(self.uniform(word, sel))
+
+    def normal(self, word: int, sel=None) -> np.ndarray:
+        return ndtri(self.uniform(word, sel))
+
+
+class CounterDraws:
+    """Counter-addressed draws for ``sample_polya_gamma_batch``.
+
+    Each accept-reject round r of tilt t reads a sequence of words: word w
+    is word w % 4 of the Philox4x64-10 block at counter (row[t], r, w // 4, 0)
+    under key (key0, key1[t]).  Words 0 and 1 are the round's branch and
+    acceptance uniforms, and the proposal reads words 2, 3, ...: one for the
+    exponential branch, and per inverse-Gaussian try two (small mean) or
+    three (large mean).  A round that accepts on its first try therefore
+    reads one block, save a large-mean try.  Every draw is a pure function
+    of (key0, key1[t], row[t], r, w), whatever the batch the tilt arrives in
+    or its place there.
+    """
+
+    __slots__ = ("key0", "key1", "row")
+
+    def __init__(self, key0: int, key1: np.ndarray, row: np.ndarray):
+        if not 0 <= int(key0) <= _MASK64:
+            raise ValueError("key0 must fit in 64 bits")
+        self.key0 = int(key0)
+        self.key1 = np.asarray(key1, dtype=np.uint64)
+        self.row = np.asarray(row, dtype=np.uint64)
+        if self.key1.ndim != 1 or self.key1.shape != self.row.shape:
+            raise ValueError("key1 and row must be vectors of one length")
+
+
+def _trunc_inv_gauss_draws(draw, sel: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # inverse-Gaussian(mu=1/z, lambda=1) conditioned on (0, t] for the round's
+    # tilts sel (tilts z); try j reads words 3j-1..3j+1 (large mean) or 2j,
+    # 2j+1 (small mean) of each tilt's round
     t = _PG_TRUNC
     out = np.empty_like(z)
     big_mu = z < 1.0 / t
 
     # large mean: propose 1/X from a scaled chi-square tail, thin by exp tilt
     idx = np.flatnonzero(big_mu)
-    for _ in range(MAX_REJECT_ITERS):
+    for j in range(1, MAX_REJECT_ITERS + 1):
         if idx.size == 0:
             break
+        at = sel[idx]
         zi = z[idx]
-        e1 = gen.standard_exponential(idx.size)
-        e2 = gen.standard_exponential(idx.size)
+        e1 = draw.exponential(3 * j - 1, at)
+        e2 = draw.exponential(3 * j, at)
         ok_prop = e1 * e1 <= 2.0 * e2 / t
         x = t / (1.0 + t * e1) ** 2
-        accept = ok_prop & (gen.random(idx.size) <= np.exp(-0.5 * zi * zi * x))
+        accept = ok_prop & (draw.uniform(3 * j + 1, at) <= np.exp(-0.5 * zi * zi * x))
         out[idx[accept]] = x[accept]
         idx = idx[~accept]
     else:
@@ -493,13 +613,14 @@ def _trunc_inv_gauss_draws(gen: Generator, z: np.ndarray) -> np.ndarray:
     # small mean: inverse-Gaussian by the Michael-Schucany-Haas root choice,
     # kept when it lands in (0, t]
     idx = np.flatnonzero(~big_mu)
-    for _ in range(MAX_REJECT_ITERS):
+    for j in range(1, MAX_REJECT_ITERS + 1):
         if idx.size == 0:
             break
+        at = sel[idx]
         mi = 1.0 / z[idx]
-        y = gen.standard_normal(idx.size) ** 2
+        y = draw.normal(2 * j, at) ** 2
         x = mi + 0.5 * mi * mi * y - 0.5 * mi * np.sqrt(4.0 * mi * y + (mi * y) ** 2)
-        flip = gen.random(idx.size) > mi / (mi + x)
+        flip = draw.uniform(2 * j + 1, at) > mi / (mi + x)
         x[flip] = mi[flip] ** 2 / x[flip]
         accept = x <= t
         out[idx[accept]] = x[accept]
@@ -509,31 +630,47 @@ def _trunc_inv_gauss_draws(gen: Generator, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_polya_gamma_batch(stream: RngStream, b: np.ndarray) -> np.ndarray:
-    """Exact PG(1, b_i) draws for a whole vector of tilts at once."""
+def sample_polya_gamma_batch(source: RngStream | CounterDraws, b: np.ndarray) -> np.ndarray:
+    """Exact PG(1, b_i) draws for a whole vector of tilts at once.
+
+    ``source`` is a stream, drawn from in call order, or a ``CounterDraws``
+    with one key word and row per tilt, which gives each tilt the same draw
+    in any batch.
+    """
     b = np.asarray(b, dtype=float)
     if b.ndim != 1:
         raise ValueError("b must be a vector")
     if np.any(b < 0) or not np.all(np.isfinite(b)):
         raise ValueError("all tilts must be finite and nonnegative")
-    gen = stream.gen
+    if isinstance(source, CounterDraws):
+        if source.key1.size != b.size:
+            raise ValueError("one key word and row per tilt required")
+        rounds = partial(_CounterRound, source)
+    else:
+        gen = source.gen
+
+        def rounds(tilts, outer):
+            return _StreamRound(gen, tilts.size)
+
     z = b / 2.0
     rate = math.pi**2 / 8.0 + z * z / 2.0
     p_right = _right_branch_probs(z)
 
     out = np.empty_like(z)
     pending = np.arange(z.size)
-    for _ in range(MAX_REJECT_ITERS):
+    for outer in range(MAX_REJECT_ITERS):
         if pending.size == 0:
             return out / 4.0
         k = pending.size
-        right = gen.random(k) < p_right[pending]
+        draw = rounds(pending, outer)
+        right = draw.uniform(0) < p_right[pending]
+        rsel, lsel = np.flatnonzero(right), np.flatnonzero(~right)
         x = np.empty(k)
-        x[right] = _PG_TRUNC + gen.standard_exponential(int(right.sum())) / rate[pending[right]]
-        x[~right] = _trunc_inv_gauss_draws(gen, z[pending[~right]])
+        x[rsel] = _PG_TRUNC + draw.exponential(2, rsel) / rate[pending[rsel]]
+        x[lsel] = _trunc_inv_gauss_draws(draw, lsel, z[pending[lsel]])
 
         s = _jacobi_coefs(0, x)
-        y = gen.random(k) * s
+        y = draw.uniform(1) * s
         undecided = np.arange(k)
         accepted = np.zeros(k, dtype=bool)
         n = 0

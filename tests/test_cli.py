@@ -333,6 +333,7 @@ class TestConfigHandling:
                 {"logit": {"data_path": HEART_PATH}, "baseline": {"step": 400}},
                 None,
             ),
+            ("plan", {"plan": {"dims": []}}, None),
         ],
         ids=[
             "logit-sigma-scale",
@@ -377,6 +378,7 @@ class TestConfigHandling:
             "plan-unknown-key",
             "logit-unknown-key",
             "baseline-unknown-key",
+            "plan-dims-empty",
         ],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, monkeypatch, command, overrides, env):

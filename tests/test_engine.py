@@ -24,6 +24,7 @@ from mscmc.engine import (
     msc_estimate,
     run_excursion,
 )
+from mscmc.logit import LogitModel
 from mscmc.rng import derive_stream
 
 
@@ -233,6 +234,20 @@ class RecordingModel(ModelBundle):
         return self.inner.f_values(states)
 
 
+def lockstep_bundle(request, case: str) -> ModelBundle:
+    """A fixed-consumption model: AR "d-rho", or "logit", the Gibbs kernel on
+    the small synthetic posterior at r = 1.5.  Its own radius there (about
+    7,400) takes every chain back in one step, so the logit return set is
+    narrowed to f <= 3, where about half the starts run and some take a
+    dozen steps."""
+    if case == "logit":
+        model = LogitModel(request.getfixturevalue("small_synthetic_posterior"), r=1.5)
+        model.drift = DriftSpec(gamma=0.0, K=1.0, R=3.0)
+        return model
+    d, rho = case.split("-")
+    return ArModel(ArConfig(rho=float(rho), d=int(d), h=0.49, r=1.5))
+
+
 class TestMscEstimate:
     def test_singleton_deterministic_estimate(self):
         model = SingletonModel()
@@ -279,14 +294,13 @@ class TestMscEstimate:
             msc_estimate(model, atoms, 8, [], master_seed=2, cap=3, workers=2)
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("d", [2, 16])
-    def test_worker_counts_bit_identical(self, d):
-        model = ArModel(ArConfig(rho=0.9, d=d, h=0.49, r=1.5))
+    @pytest.mark.parametrize("d", [2, 16, "logit"])
+    def test_worker_counts_bit_identical(self, request, d):
+        model = lockstep_bundle(request, "logit" if d == "logit" else f"{d}-0.9")
         atoms = build_initial_distribution(model, 500, master_seed=4, workers=2)
+        functions = coordinate_functions(atoms.atoms.shape[1])
         results = [
-            msc_estimate(
-                model, atoms, 300, coordinate_functions(d), master_seed=4, workers=w
-            )
+            msc_estimate(model, atoms, 300, functions, master_seed=4, workers=w)
             for w in (1, 2, 8)
         ]
         for other in results[1:]:
@@ -294,15 +308,15 @@ class TestMscEstimate:
             assert np.array_equal(results[0].stderrs, other.stderrs)
             assert np.array_equal(results[0].taus, other.taus)
 
-    @pytest.mark.parametrize("d, rho", [(1, 0.9), (2, 0.9), (16, 0.9), (2, 0.995)])
-    def test_lockstep_equals_scalar_loop(self, monkeypatch, d, rho):
+    @pytest.mark.parametrize("case", ["1-0.9", "2-0.9", "16-0.9", "2-0.995", "logit"])
+    def test_lockstep_equals_scalar_loop(self, monkeypatch, request, case):
         # RecordingModel sets no words_per_step, so it runs the per-chain loop;
         # a 40-word window forces chunked first steps and multi-step windows.
         # A lambda between the coordinates is called on each row while the
         # coordinates are read as columns
-        model = ArModel(ArConfig(rho=rho, d=d, h=0.49, r=1.5))
+        model = lockstep_bundle(request, case)
         atoms = build_initial_distribution(model, 2_000, master_seed=12, workers=1)
-        coords = coordinate_functions(d)
+        coords = coordinate_functions(atoms.atoms.shape[1])
         windows = (engine._WINDOW_WORDS, 40)
         for functions in (coords, coords[:1] + [lambda x: 1.0 + float(x @ x)] + coords[1:]):
             scalar = msc_estimate(RecordingModel(model), atoms, 1_500, functions, 12, workers=1)

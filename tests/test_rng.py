@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -7,8 +8,10 @@ import pytest
 from numpy.random import Philox
 from scipy.stats import ks_2samp
 
+from mscmc import rng
 from mscmc.rng import (
     CategoricalSampler,
+    CounterDraws,
     derive_stream,
     fnv1a64,
     ndtri,
@@ -101,6 +104,42 @@ class TestStreamWords:
             assert words.shape == (index.size, n)
             for row, i in zip(words, index.tolist()):
                 assert np.array_equal(row, philox_words(seed, "chain", i, n, offset))
+
+    def test_bytes_pinned(self):
+        # 20,000 streams x 6 blocks span eight Philox passes; the digest was
+        # taken before the block function took counter words 1-3 as inputs
+        index = np.arange(20_000, dtype=np.uint64) * 7919
+        words = stream_words(0xFEEDFACECAFEBEEF, "chain", index, 21, offset=3)
+        assert (
+            hashlib.sha256(words.tobytes()).hexdigest()
+            == "9dd6a80d540cbe1452c232d16f2c71513992fbb16ad8b442b7780e4bae7186e1"
+        )
+
+    def test_block_function_known_answer_full_counter(self):
+        # numpy's Philox increments its 256-bit counter before each block, so
+        # its first block from counter c is the block at c + 1; the last case
+        # carries from word 0 into word 1
+        top = 2**64 - 1
+        cases = [  # key, the block's counter, the counter numpy starts from
+            ((0xFEEDFACECAFEBEEF, 3), (5, 1, 2, 3), (4, 1, 2, 3)),
+            ((1, top), (top, top, 7, 2**63), (top - 1, top, 7, 2**63)),
+            ((top, 0), (1, 5, 0, 0), (0, 5, 0, 0)),
+            ((12345, 2**40), (0, 10, 11, 13), (top, 9, 11, 13)),
+        ]
+        for (k0, k1), block, start in cases:
+            key = np.array([k0, k1], dtype=np.uint64)
+            want = Philox(key=key, counter=np.array(start, dtype=np.uint64))
+            counter = tuple(np.array([c], dtype=np.uint64) for c in block)
+            got = rng._philox(k0, np.array([k1], dtype=np.uint64), counter)
+            assert np.array_equal(got[0], want.random_raw(4))
+        # many lanes at once, counter words as arrays and as one shared integer
+        key1 = np.array([3, top, 0, 2**40], dtype=np.uint64)
+        c0, c2 = np.array([5, 6, 7, 8], dtype=np.uint64), np.arange(4, dtype=np.uint64)
+        got = rng._philox(99, key1, (c0, 2, c2, 1))
+        for lane in range(4):
+            start = np.array([c0[lane] - 1, 2, c2[lane], 1], dtype=np.uint64)
+            want = Philox(key=np.array([99, key1[lane]], dtype=np.uint64), counter=start)
+            assert np.array_equal(got[lane], want.random_raw(4))
 
     def test_empty_range(self):
         assert stream_words(3, "init", np.array([], dtype=np.uint64), 2).shape == (0, 2)
@@ -359,6 +398,48 @@ class TestPolyaGamma:
         a = sample_polya_gamma_batch(derive_stream(19, "pg-batch", 3), np.full(100, 2.0))
         b = sample_polya_gamma_batch(derive_stream(19, "pg-batch", 3), np.full(100, 2.0))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("b", [0.0, 1.0, 10.0, 700.0])
+    def test_counter_draws_match_stream_draws(self, b):
+        # the stream path is checked against the series oracle (acceptance
+        # 06 and above); b = 0 and 1 take the large-mean inverse-Gaussian
+        # proposal, 10 and 700 the small-mean one at heart-design tilts
+        n = 100_000
+        stream = sample_polya_gamma_batch(derive_stream(23, "pg-ks-stream", int(b)), np.full(n, b))
+        keys = stream_words(23, "pg-ks-keys", np.arange(400), 1)[:, 0]
+        source = CounterDraws(fnv1a64("pg-ks"), np.repeat(keys, 250), np.tile(np.arange(250), 400))
+        counter = sample_polya_gamma_batch(source, np.full(n, b))
+        assert np.all(counter > 0.0)
+        assert ks_2samp(counter, stream).pvalue > 0.001
+
+    def test_counter_draws_independent_of_batch(self):
+        # a tilt's draw is a function of its key word, row and tilt alone: the
+        # same bits alone, in blocks of two sizes (whose retries meet the
+        # look-ahead passes differently), and in the block permuted
+        gen = np.random.default_rng(29)
+        n = 1_000
+        b = gen.choice([0.0, 0.3, 1.0, 3.0, 6.0, 40.0, 700.0], n) * gen.uniform(0.5, 1.5, n)
+        key1 = gen.integers(0, 2**63, n, dtype=np.uint64) * np.uint64(2)
+        row = gen.integers(0, 300, n, dtype=np.uint64)
+        one = [CounterDraws(7, key1[t : t + 1], row[t : t + 1]) for t in range(n)]
+        alone = np.array([sample_polya_gamma_batch(one[t], b[t : t + 1])[0] for t in range(n)])
+        for size in (300, 700, n):
+            block = sample_polya_gamma_batch(CounterDraws(7, key1[:size], row[:size]), b[:size])
+            assert np.array_equal(block, alone[:size])
+        perm = gen.permutation(n)
+        permuted = sample_polya_gamma_batch(CounterDraws(7, key1[perm], row[perm]), b[perm])
+        assert np.array_equal(permuted, alone[perm])
+        # another key0 or row gives other draws
+        assert not np.any(sample_polya_gamma_batch(CounterDraws(8, key1, row), b) == alone)
+        assert not np.any(sample_polya_gamma_batch(CounterDraws(7, key1, row + 1), b) == alone)
+
+    def test_counter_draws_validation(self):
+        with pytest.raises(ValueError):
+            CounterDraws(2**64, [0], [0])
+        with pytest.raises(ValueError):
+            CounterDraws(0, [0, 1], [0])
+        with pytest.raises(ValueError):
+            sample_polya_gamma_batch(CounterDraws(0, [0, 1], [0, 1]), np.ones(3))
 
     def test_rejection_cap_pinned(self):
         from mscmc.rng import MAX_REJECT_ITERS
