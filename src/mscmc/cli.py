@@ -163,6 +163,8 @@ def _logit_model(cfg: dict) -> LogitModel:
         return LogitModel(posterior, r)
     except ValueError as err:
         raise ConfigError(str(err)) from None
+    except ArithmeticError as err:
+        raise ConfigError(f"bad logit parameters: {err}") from None
 
 
 def _ensure_out(cfg: dict) -> str:
@@ -311,8 +313,9 @@ def _baseline_params(cfg: dict) -> tuple[int, int, str, float | None]:
     override = block.get("rwm_scale_override")
     if override is not None:
         override = _number("baseline.rwm_scale_override", override, float)
-    if not steps > burn_in >= 0:
-        raise ConfigError("baseline needs steps > burn_in >= 0")
+    if burn_in < 0 or steps - burn_in < 4:
+        # batch means need at least two batches of two kept steps
+        raise ConfigError("baseline needs burn_in >= 0 and steps - burn_in >= 4")
     start_mode = block.get("start", "atoms")
     if start_mode not in ("atoms", "proposal"):
         raise ConfigError("baseline.start must be 'atoms' or 'proposal'")

@@ -4,7 +4,9 @@ Builds a weighted restart distribution from importance-sampling proposals,
 runs M independent Markov chain excursions truncated at the first return to
 the drift set, and averages the per-excursion sums.  All randomness flows
 through per-atom and per-chain streams derived from one master seed, so a
-run is bit-reproducible for any worker count.
+run is bit-reproducible for any worker count.  Every kernel reads a fixed
+number of words per step, so each block of chains steps together on words
+addressed by (chain, step).
 """
 from __future__ import annotations
 
@@ -40,10 +42,9 @@ DEFAULT_EXCURSION_CAP = 1_000_000
 ATOM_LABEL = "init"
 CHAIN_LABEL = "chain"
 
-# words per stream_words pass in the restart chunks and the lockstep
-# excursion loop: bounds their temporaries (about 1.7 MB above the per-chain
-# loop's at d = 16, against 3.1 MB at 2**16 words, at the same speed) and
-# lets a few stragglers draw many steps at once
+# words per stream_words pass in the restart chunks and the excursion loop:
+# bounds their temporaries (at d = 16, 1.4 MB below those of 2**16-word
+# passes, at the same speed) and lets a few stragglers draw many steps at once
 _WINDOW_WORDS = 1 << 15
 
 
@@ -93,7 +94,9 @@ class ModelBundle(ABC):
 
     Each method maps a block of rows and must give a row the same bits in a
     block of any size (numpy's ``@`` does not; a sum in a fixed order does).
-    The kernel must be time-homogeneous and the drift function value >= 1.
+    The kernel must be time-homogeneous and the drift function value >= 1,
+    and it reads exactly ``words_per_step`` raw words of its stream per step,
+    so the engine steps a block's chains together on their stream words.
     """
 
     drift: DriftSpec
@@ -102,10 +105,8 @@ class ModelBundle(ABC):
     # atom may set it and implement atoms, drawn in chunks; None calls propose.
     words_per_atom: int | None = None
 
-    # A kernel that reads exactly this many raw words of its stream per step
-    # may set it and implement kernel_block, stepped in lockstep; None calls
-    # kernel_step chain by chain.
-    words_per_step: int | None = None
+    # Raw words of its stream that one kernel step reads: a positive int.
+    words_per_step: int
 
     @abstractmethod
     def log_weights(self, atoms: np.ndarray) -> np.ndarray:
@@ -119,14 +120,12 @@ class ModelBundle(ABC):
         """Proposal draws, one row per row of ``words`` (n, words_per_atom) uint64."""
         raise NotImplementedError
 
+    @abstractmethod
     def kernel_block(self, states: np.ndarray, words: np.ndarray) -> np.ndarray:
         """One step of each row of ``states``, row r driven by the words ``words[r]``."""
-        raise NotImplementedError
 
     def kernel_step(self, stream: RngStream, state: np.ndarray) -> np.ndarray:
-        """One Markov transition; a variable-consumption kernel overrides this."""
-        if self.words_per_step is None:
-            raise NotImplementedError
+        """One Markov transition of one chain, on the next words of ``stream``."""
         words = stream.gen.bit_generator.random_raw(self.words_per_step)
         return self.kernel_block(np.asarray(state)[None], words[None])[0]
 
@@ -336,35 +335,14 @@ def run_excursion(
 
 
 def _excursion_block(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    model = _CTX["model"]
-    functions = _CTX["functions"]
-    if model.words_per_step:
-        return _lockstep_block(*span)
+    # The chains lo..hi-1, stepped together.  Word 0 of stream
+    # (CHAIN_LABEL, m) picks the start exactly as CategoricalSampler.sample
+    # does, and step k reads words 1 + (k-1)w .. kw, so every chain retires
+    # with the tau and sums that run_excursion gives it on that stream.
+    # Each round draws a window of steps for the live chains in stream_words
+    # passes of about _WINDOW_WORDS words: many steps for a few stragglers,
+    # or one step for a chunk of rows.
     lo, hi = span
-    sampler = _CTX["sampler"]
-    atoms = _CTX["atoms"]
-    cap = _CTX["cap"]
-    sums = np.empty((hi - lo, len(functions)))
-    taus = np.zeros(hi - lo, dtype=np.int64)
-    stream = derive_stream(_CTX["master_seed"], CHAIN_LABEL, lo)
-    for m in range(lo, hi):
-        stream.rekey(m)
-        start = atoms[sampler.sample(stream)]
-        try:
-            taus[m - lo], sums[m - lo] = run_excursion(model, start, stream, cap, functions)
-        except CapExceededError as err:
-            raise CapExceededError(err.cap, chain_index=m) from None
-    return sums, taus
-
-
-def _lockstep_block(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    # The chains lo..hi-1 of a fixed-consumption kernel, stepped together.
-    # Word 0 of stream (CHAIN_LABEL, m) picks the start exactly as
-    # Generator.random() does in the per-chain loop, and step k reads words
-    # 1 + (k-1)w .. kw, so every chain retires with the tau and sums that
-    # run_excursion would give it.  Each round draws a window of steps for
-    # the live chains in stream_words passes of about _WINDOW_WORDS words:
-    # many steps for a few stragglers, or one step for a chunk of rows.
     model = _CTX["model"]
     atoms = _CTX["atoms"]
     sampler = _CTX["sampler"]
@@ -446,10 +424,12 @@ def msc_estimate(
     Chain m draws its start (one uniform) and runs its excursion on stream
     (CHAIN_LABEL, m); the final reduction runs over the sums in chain order,
     so the result depends only on (master_seed, N, M) and never on the worker
-    count.  A model with a fixed-consumption kernel (``words_per_step``)
-    steps each block's chains in lockstep, with the same result as the
-    per-chain loop for any test functions.
+    count.  Each block's chains step together, each with the tau and sums
+    that run_excursion gives it on its stream, for any test functions.
     """
+    w = getattr(model, "words_per_step", None)
+    if not isinstance(w, (int, np.integer)) or w < 1:
+        raise TypeError(f"words_per_step must be a positive int (got {w!r})")
     if M < 2:
         raise ValueError("M must be >= 2 (a sample standard error needs two sums)")
     if cap < 1:

@@ -29,7 +29,6 @@ __all__ = [
     "map_estimate",
     "proposal_sample",
     "proposal_log_weight",
-    "draw_omega",
     "pg_gibbs_step",
     "LogitModel",
 ]
@@ -322,18 +321,14 @@ def _gibbs_betas(posterior: LogitPosterior, omega: np.ndarray, z: np.ndarray) ->
     return np.linalg.solve(np.swapaxes(chol, 1, 2), rhs[:, :, None])[:, :, 0]
 
 
-def draw_omega(stream: RngStream, beta: np.ndarray, posterior: LogitPosterior) -> np.ndarray:
-    """Latent conditional draw: omega_i ~ PG(1, |x_i . beta|), independently."""
-    return sample_polya_gamma_batch(stream, _tilts(posterior, np.asarray(beta)[None])[0])
-
-
 def pg_gibbs_step(stream: RngStream, beta: np.ndarray, posterior: LogitPosterior) -> np.ndarray:
     """One scan of the two-block Gibbs kernel; returns the next beta.
 
-    One factor L L' = X' Omega X + Sigma^{-1} serves both the conditional
-    mean and the Gaussian draw: beta = L^{-T} (L^{-1} X'(y - 1/2) + z).
+    The latents omega_i ~ PG(1, |x_i . beta|) are drawn independently.  One
+    factor L L' = X' Omega X + Sigma^{-1} serves both the conditional mean
+    and the Gaussian draw: beta = L^{-T} (L^{-1} X'(y - 1/2) + z).
     """
-    omega = draw_omega(stream, beta, posterior)
+    omega = sample_polya_gamma_batch(stream, _tilts(posterior, np.asarray(beta)[None])[0])
     z = stream.gen.standard_normal(posterior.d)
     return _gibbs_betas(posterior, omega[None], z[None])[0]
 

@@ -334,6 +334,17 @@ class TestConfigHandling:
                 None,
             ),
             ("plan", {"plan": {"dims": []}}, None),
+            ("run-logit", {"logit": {"data_path": HEART_PATH, "sigma_scale": 1e200}}, None),
+            (
+                "baseline-rwm",
+                {"logit": {"data_path": HEART_PATH, "sigma_scale": 1e200}},
+                None,
+            ),
+            (
+                "baseline-gibbs",
+                {"logit": {"data_path": HEART_PATH}, "baseline": {"steps": 3, "burn_in": 0}},
+                None,
+            ),
         ],
         ids=[
             "logit-sigma-scale",
@@ -379,6 +390,9 @@ class TestConfigHandling:
             "logit-unknown-key",
             "baseline-unknown-key",
             "plan-dims-empty",
+            "logit-sigma-scale-overflow",
+            "baseline-sigma-scale-overflow",
+            "baseline-too-few-kept-steps",
         ],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, monkeypatch, command, overrides, env):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from mscmc.engine import (
     run_excursion,
 )
 from mscmc.logit import LogitModel
-from mscmc.rng import derive_stream
+from mscmc.rng import CategoricalSampler, derive_stream
 
 
 class TestDriftSpec:
@@ -48,7 +49,7 @@ class TestDriftSpec:
 class ConstantWeightModel(ModelBundle):
     """Uniform proposal on [0,1), flat weights, kernel contracts to zero."""
 
-    words_per_atom = 1
+    words_per_atom = words_per_step = 1
 
     def __init__(self):
         self.drift = DriftSpec(gamma=0.5, K=1.0, R=3.0)
@@ -59,8 +60,8 @@ class ConstantWeightModel(ModelBundle):
     def log_weights(self, atoms):
         return np.zeros(len(atoms))
 
-    def kernel_step(self, stream, state):
-        return 0.5 * state
+    def kernel_block(self, states, words):
+        return 0.5 * states
 
     def f_values(self, states):
         return 1.0 + np.sum(states * states, axis=1)
@@ -69,7 +70,7 @@ class ConstantWeightModel(ModelBundle):
 class SingletonModel(ModelBundle):
     """One absorbing point; every excursion returns immediately."""
 
-    words_per_atom = 1
+    words_per_atom = words_per_step = 1
 
     def __init__(self):
         self.drift = DriftSpec(gamma=0.5, K=1.0, R=3.0)
@@ -80,8 +81,8 @@ class SingletonModel(ModelBundle):
     def log_weights(self, atoms):
         return np.zeros(len(atoms))
 
-    def kernel_step(self, stream, state):
-        return np.array([0.0])
+    def kernel_block(self, states, words):
+        return np.zeros((len(states), 1))
 
     def f_values(self, states):
         return np.ones(len(states))
@@ -90,16 +91,16 @@ class SingletonModel(ModelBundle):
 class TwoStepCycleModel(SingletonModel):
     """Deterministic 0 -> 5 -> 0 cycle; excursions from 0 always last 2 steps."""
 
-    def kernel_step(self, stream, state):
-        return np.array([5.0]) if state[0] == 0.0 else np.array([0.0])
+    def kernel_block(self, states, words):
+        return np.where(states == 0.0, 5.0, 0.0)
 
     def f_values(self, states):
         return 1.0 + np.sum(states * states, axis=1)
 
 
 class NeverReturnModel(SingletonModel):
-    def kernel_step(self, stream, state):
-        return np.array([10.0])
+    def kernel_block(self, states, words):
+        return np.full((len(states), 1), 10.0)
 
     def f_values(self, states):
         return 1.0 + np.sum(states * states, axis=1)
@@ -216,18 +217,15 @@ class RecordingModel(ModelBundle):
     def __init__(self, inner):
         self.inner = inner
         self.drift = inner.drift
-        self.words_per_atom = inner.words_per_atom
+        self.words_per_step = inner.words_per_step
         self.trace = []
-
-    def atoms(self, words):
-        return self.inner.atoms(words)
 
     def log_weights(self, atoms):
         return self.inner.log_weights(atoms)
 
-    def kernel_step(self, stream, state):
-        out = self.inner.kernel_step(stream, state)
-        self.trace.append(self.inner.f_value(out))
+    def kernel_block(self, states, words):
+        out = self.inner.kernel_block(states, words)
+        self.trace.extend(self.inner.f_values(out).tolist())
         return out
 
     def f_values(self, states):
@@ -246,6 +244,27 @@ def lockstep_bundle(request, case: str) -> ModelBundle:
         return model
     d, rho = case.split("-")
     return ArModel(ArConfig(rho=float(rho), d=int(d), h=0.49, r=1.5))
+
+
+def scalar_loop(model, atoms, M, functions, seed, cap=engine.DEFAULT_EXCURSION_CAP):
+    """The MSC result from the public API, chain by chain: chain m picks its
+    start with CategoricalSampler.sample on stream ("chain", m) and runs
+    run_excursion on the rest of that stream.  The sums reduce as in
+    msc_estimate."""
+    sampler = CategoricalSampler(atoms.norm_weights)
+    sums = np.empty((M, len(functions)))
+    taus = np.empty(M, dtype=np.int64)
+    for m in range(M):
+        stream = derive_stream(seed, "chain", m)
+        start = atoms.atoms[sampler.sample(stream)]
+        try:
+            taus[m], sums[m] = run_excursion(model, start, stream, cap, functions)
+        except CapExceededError as err:
+            raise CapExceededError(err.cap, chain_index=m) from None
+    estimates = sums.mean(axis=0)
+    sums -= estimates
+    stderrs = np.sqrt(np.square(sums).sum(axis=0) / (M - 1)) / np.sqrt(M)
+    return SimpleNamespace(estimates=estimates, stderrs=stderrs, taus=taus)
 
 
 class TestMscEstimate:
@@ -310,8 +329,7 @@ class TestMscEstimate:
 
     @pytest.mark.parametrize("case", ["1-0.9", "2-0.9", "16-0.9", "2-0.995", "logit"])
     def test_lockstep_equals_scalar_loop(self, monkeypatch, request, case):
-        # RecordingModel sets no words_per_step, so it runs the per-chain loop;
-        # a 40-word window forces chunked first steps and multi-step windows.
+        # A 40-word window forces chunked first steps and multi-step windows.
         # A lambda between the coordinates is called on each row while the
         # coordinates are read as columns
         model = lockstep_bundle(request, case)
@@ -319,7 +337,7 @@ class TestMscEstimate:
         coords = coordinate_functions(atoms.atoms.shape[1])
         windows = (engine._WINDOW_WORDS, 40)
         for functions in (coords, coords[:1] + [lambda x: 1.0 + float(x @ x)] + coords[1:]):
-            scalar = msc_estimate(RecordingModel(model), atoms, 1_500, functions, 12, workers=1)
+            scalar = scalar_loop(model, atoms, 1_500, functions, 12)
             assert scalar.taus.max() > 1
             for window in windows:
                 monkeypatch.setattr(engine, "_WINDOW_WORDS", window)
@@ -327,22 +345,47 @@ class TestMscEstimate:
                 assert np.array_equal(lockstep.estimates, scalar.estimates)
                 assert np.array_equal(lockstep.stderrs, scalar.stderrs)
                 assert np.array_equal(lockstep.taus, scalar.taus)
-        # no test functions at all also runs in lockstep
+        # no test functions at all runs the same chains
         assert np.array_equal(msc_estimate(model, atoms, 1_500, [], 12, workers=1).taus, scalar.taus)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_lockstep_cap_error_names_scalar_chain(self, workers):
         model = ArModel(ArConfig(rho=0.9, d=2, h=0.49, r=1.5))
         atoms = build_initial_distribution(model, 500, master_seed=9, workers=1)
-        chains = []
-        for bundle in (model, RecordingModel(model)):
-            with pytest.raises(CapExceededError) as err:
-                msc_estimate(
-                    bundle, atoms, 400, coordinate_functions(2), 9, cap=1, workers=workers
-                )
-            assert err.value.cap == 1
-            chains.append(err.value.chain_index)
-        assert chains[0] is not None and chains[0] == chains[1]
+        functions = coordinate_functions(2)
+        with pytest.raises(CapExceededError) as scalar:
+            scalar_loop(model, atoms, 400, functions, 9, cap=1)
+        with pytest.raises(CapExceededError) as err:
+            msc_estimate(model, atoms, 400, functions, 9, cap=1, workers=workers)
+        assert err.value.cap == 1
+        assert err.value.chain_index is not None
+        assert err.value.chain_index == scalar.value.chain_index
+
+    def test_kernel_block_required(self):
+        class StepLess(ModelBundle):
+            words_per_step = 1
+
+            def log_weights(self, atoms):
+                return np.zeros(len(atoms))
+
+            def f_values(self, states):
+                return np.ones(len(states))
+
+        with pytest.raises(TypeError, match="kernel_block"):
+            StepLess()
+
+    @pytest.mark.parametrize("words", ["missing", None, 0, -1])
+    def test_words_per_step_required(self, monkeypatch, words):
+        # rejected before any pool forks
+        model = SingletonModel()
+        atoms = build_initial_distribution(model, 2, master_seed=2, workers=1)
+        if words == "missing":
+            monkeypatch.delattr(SingletonModel, "words_per_step")
+        else:
+            model.words_per_step = words
+        with pytest.raises(TypeError, match="words_per_step"):
+            msc_estimate(model, atoms, 8, [], master_seed=2, workers=2)
+        assert multiprocessing.active_children() == []
 
     def test_mean_tau_vs_skip_fraction(self):
         model = ArModel(ArConfig(rho=0.9, d=2, h=0.49, r=1.5))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import bootstrap_stderr
+from mscmc import logit
 from mscmc.baselines import run_single_chain_gibbs
 from mscmc.bounds import logit_gibbs_constants
 from mscmc.engine import build_initial_distribution, coordinate_functions, msc_estimate
@@ -13,7 +14,6 @@ from mscmc.logit import (
     Dataset,
     LogitModel,
     LogitPosterior,
-    draw_omega,
     load_heart_dataset,
     log_unnorm_posterior,
     map_estimate,
@@ -24,7 +24,7 @@ from mscmc.logit import (
     proposal_log_weight,
     proposal_sample,
 )
-from mscmc.rng import derive_stream
+from mscmc.rng import derive_stream, sample_polya_gamma_batch
 
 
 class TestNegLogLik:
@@ -230,14 +230,22 @@ class TestProposal:
 
 
 class TestGibbsKernel:
-    def test_latent_draws_strictly_positive(self, small_synthetic_posterior):
+    def test_latent_draws_strictly_positive(self, small_synthetic_posterior, monkeypatch):
+        # record the latents that each Gibbs scan draws
+        drawn = []
+
+        def record(source, tilts):
+            drawn.append(sample_polya_gamma_batch(source, tilts))
+            return drawn[-1]
+
+        monkeypatch.setattr(logit, "sample_polya_gamma_batch", record)
         post = small_synthetic_posterior
         stream = derive_stream(35, "gibbs", 0)
         beta = np.zeros(post.d)
         for _ in range(50):
-            omega = draw_omega(stream, beta, post)
-            assert np.all(omega > 0)
             beta = pg_gibbs_step(stream, beta, post)
+        assert len(drawn) == 50
+        assert all(np.all(omega > 0) for omega in drawn)
 
     def test_one_step_second_moment_bound(self, small_synthetic_posterior):
         post = small_synthetic_posterior
