@@ -256,17 +256,22 @@ def logit_gibbs_constants(
         raise ValueError("Sigma must be symmetric positive-definite") from None
     d = X.shape[1]
     score = X.T @ (Y - 0.5)
-    L = float(np.linalg.norm(Sigma, 2)) ** 2 * float(score @ score)
-    if L <= 0.0:
+    if not np.any(score):
         raise ValueError(
             "degenerate design: the score X^T(Y - 1/2) vanishes, so the radius "
             "1 + rL collapses onto K/(1-gamma) and no valid drift set exists"
         )
+    L = float(np.linalg.norm(Sigma, 2)) ** 2 * float(score @ score)
+    K, R = 1.0 + L, 1.0 + r * L
+    if r > 1.0 and not R > K:  # Sigma so small that L vanishes next to 1
+        raise FloatingPointError(
+            f"L = |Sigma|^2 |X^T(Y - 1/2)|^2 = {L!r} is too small: the radius "
+            "1 + rL rounds to K = 1 + L, so no valid drift set exists"
+        )
+    _check_drift(0.0, K, R)
     x_sq_norm = float(np.linalg.norm(X, 2)) ** 2
     chol = np.linalg.cholesky(x_sq_norm / 4.0 * Sigma + np.eye(d))
     log_W_d = 2.0 * float(np.sum(np.log(np.diag(chol)))) + d * math.log(_proposal_tilt(h))
-    K, R = 1.0 + L, 1.0 + r * L
-    _check_drift(0.0, K, R)
     return {
         "L": L,
         "R": R,

@@ -85,6 +85,10 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
         merged["workers"] = overrides.workers
     if overrides.out is not None:
         merged["out_dir"] = overrides.out
+    if not isinstance(merged["out_dir"], str) or not merged["out_dir"]:
+        raise ConfigError(
+            f"config key 'out_dir' must be a non-empty string (got {merged['out_dir']!r})"
+        )
     _validate_numeric(merged, "master_seed", int, low=0, high=2**64 - 1)
     _validate_numeric(merged, "n_atoms", int, low=1)
     _validate_numeric(merged, "n_chains", int, low=2)
@@ -163,8 +167,8 @@ def _logit_model(cfg: dict) -> LogitModel:
         return LogitModel(posterior, r)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    except ArithmeticError as err:
-        raise ConfigError(f"bad logit parameters: {err}") from None
+    except ArithmeticError as err:  # the drift constants scale with sigma_scale**2
+        raise ConfigError(f"logit.sigma_scale = {sigma_scale!r} is out of range: {err}") from None
 
 
 def _ensure_out(cfg: dict) -> str:
@@ -247,6 +251,12 @@ def _run_model(cfg: dict, model, names: list[str]) -> int:
     atoms = build_initial_distribution(
         model, cfg["n_atoms"], cfg["master_seed"], workers=cfg["workers"]
     )
+    if atoms.ess < 2:
+        print(
+            f"warning: restart ess = {atoms.ess:.2f} of {atoms.N} atoms: one atom holds over "
+            "half the weight, so most chains start from that atom",
+            file=sys.stderr,
+        )
     result = msc_estimate(
         model,
         atoms,

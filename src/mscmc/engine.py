@@ -14,6 +14,7 @@ import multiprocessing
 import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,7 +66,8 @@ class CapExceededError(RuntimeError):
 
 
 class WeightError(ValueError):
-    """Importance weights are unusable (all zero, or non-finite)."""
+    """The weighted restart atoms are unusable: their weights are all zero or
+    non-finite, or no chain started inside the drift set."""
 
 
 @dataclass(frozen=True)
@@ -188,33 +190,35 @@ def resolve_workers(workers: int | None) -> int:
 
 
 def _block_ranges(total: int, blocks: int) -> list[tuple[int, int]]:
+    # blocks <= total spans of range(total), the first total % blocks one longer
     size, rem = divmod(total, blocks)
-    out = []
-    lo = 0
-    for i in range(blocks):
-        hi = lo + size + (1 if i < rem else 0)
-        if hi > lo:
-            out.append((lo, hi))
-        lo = hi
-    return out
+    edges = [i * size + min(i, rem) for i in range(blocks + 1)]
+    return list(zip(edges, edges[1:]))
 
 
-# Worker context, installed in this module global before the pool forks so
-# workers inherit it (atoms and test functions included) without pickling.
-_CTX: dict = {}
+# a pool worker's block function, set in the worker by the pool's initializer
+# and never in the parent, so nothing holds a stage's inputs after its pool
+_worker_fn: Callable | None = None
 
 
-def _map_blocks(
-    fn: Callable[[tuple[int, int]], tuple[np.ndarray, ...]],
-    total: int,
-    ctx: dict,
-    workers: int | None,
-) -> tuple[np.ndarray, ...]:
-    """Run ``fn`` over blocks of range(total) and stack its arrays in block order.
+def _install(fn: Callable) -> None:
+    global _worker_fn
+    _worker_fn = fn
 
-    Blocks arrive in order and are copied straight into outputs allocated
-    from the first block's shapes, so no list of blocks is held next to the
-    result.  The pool always forks, whatever the default start method.
+
+def _call_installed(span: tuple[int, int]) -> tuple[np.ndarray, ...]:
+    return _worker_fn(span)
+
+
+def _map_blocks(fn: Callable, total: int, workers: int | None) -> tuple[np.ndarray, ...]:
+    """Run ``fn``, a stage's block function with the stage's inputs bound,
+    over blocks of range(total) and stack its arrays in block order.
+
+    At one worker ``fn`` runs here.  A pool always forks, whatever the
+    default start method, and passes ``fn`` to its workers as the
+    initializer's argument, which a fork inherits without pickling (lambda
+    test functions included).  Blocks are copied as they arrive into outputs
+    allocated from the first block's shapes, so no list of blocks is held.
 
     The pool is closed and joined, never terminated: when a block raises,
     the other workers may still be writing results, and ``Pool.terminate``
@@ -223,13 +227,13 @@ def _map_blocks(
     Only an interrupt terminates the pool: Ctrl-C reaches the workers too,
     their blocks never report back, and a join would wait for them forever.
     """
-    global _CTX
     nworkers = min(resolve_workers(workers), total)
     ranges = _block_ranges(total, min(nworkers * 4, total))
-    _CTX = ctx
-    pool = multiprocessing.get_context("fork").Pool(nworkers) if nworkers > 1 else None
+    pool = None
+    if nworkers > 1:
+        pool = multiprocessing.get_context("fork").Pool(nworkers, _install, (fn,))
     try:
-        parts = pool.imap(fn, ranges) if pool else map(fn, ranges)
+        parts = pool.imap(_call_installed, ranges) if pool else map(fn, ranges)
         for (lo, hi), part in zip(ranges, parts):
             if lo == 0:
                 outs = tuple(np.empty((total, *a.shape[1:]), a.dtype) for a in part)
@@ -246,18 +250,20 @@ def _map_blocks(
     return outs
 
 
-def _propose_block(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+def _propose_block(
+    model: ModelBundle, master_seed: int, span: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
     # atoms lo..hi-1 and their log-weights, in chunks of about _WINDOW_WORDS words
-    model, (lo, hi) = _CTX["model"], span
+    lo, hi = span
     if model.words_per_atom is None:  # atom i is propose on stream (ATOM_LABEL, i)
-        stream = derive_stream(_CTX["master_seed"], ATOM_LABEL, lo)
+        stream = derive_stream(master_seed, ATOM_LABEL, lo)
         atoms = np.array([model.propose(stream.rekey(i)) for i in range(lo, hi)])
         return atoms, model.log_weights(atoms)
     rows = max(1, _WINDOW_WORDS // model.words_per_atom)
     logw = np.empty(hi - lo)
     for a in range(0, hi - lo, rows):
         index = np.uint64(lo + a) + np.arange(min(rows, hi - lo - a), dtype=np.uint64)
-        x = model.atoms(stream_words(_CTX["master_seed"], ATOM_LABEL, index, model.words_per_atom))
+        x = model.atoms(stream_words(master_seed, ATOM_LABEL, index, model.words_per_atom))
         if a == 0:
             atoms = np.empty((hi - lo, x.shape[1]))
         atoms[a : a + len(x)] = x
@@ -279,8 +285,7 @@ def build_initial_distribution(
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    ctx = {"model": model, "master_seed": master_seed}
-    atoms, logw = _map_blocks(_propose_block, N, ctx, workers)
+    atoms, logw = _map_blocks(partial(_propose_block, model, master_seed), N, workers)
     return _atoms_from_log_weights(atoms, logw)
 
 
@@ -292,8 +297,7 @@ def _atoms_from_log_weights(atoms: np.ndarray, logw: np.ndarray) -> WeightedAtom
     if shift == -np.inf:
         raise WeightError("all importance weights are zero")
     w = np.exp(logw - shift)
-    total = float(w.sum())
-    norm = w / total
+    norm = w / float(w.sum())
     sum_sq = float(np.dot(norm, norm))
     ess = 1.0 / sum_sq
     return WeightedAtoms(
@@ -320,21 +324,27 @@ def run_excursion(
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    nfun = len(functions)
-    sums = np.zeros(nfun)
+    sums = np.zeros(len(functions))
     if model.f_value(start) > model.drift.R:
         return 0, sums
     x = start
     for k in range(1, cap + 1):
         x = model.kernel_step(stream, x)
-        for j in range(nfun):
-            sums[j] += functions[j](x)
+        sums += [f(x) for f in functions]
         if model.f_value(x) <= model.drift.R:
             return k, sums
     raise CapExceededError(cap)
 
 
-def _excursion_block(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+def _excursion_block(
+    model: ModelBundle,
+    atoms: np.ndarray,
+    sampler: CategoricalSampler,
+    functions: Sequence[Callable[[np.ndarray], float]],
+    cap: int,
+    master_seed: int,
+    span: tuple[int, int],
+) -> tuple[np.ndarray, np.ndarray]:
     # The chains lo..hi-1, stepped together.  Word 0 of stream
     # (CHAIN_LABEL, m) picks the start exactly as CategoricalSampler.sample
     # does, and step k reads words 1 + (k-1)w .. kw, so every chain retires
@@ -343,14 +353,8 @@ def _excursion_block(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     # passes of about _WINDOW_WORDS words: many steps for a few stragglers,
     # or one step for a chunk of rows.
     lo, hi = span
-    model = _CTX["model"]
-    atoms = _CTX["atoms"]
-    sampler = _CTX["sampler"]
-    cap = _CTX["cap"]
-    seed = _CTX["master_seed"]
     # coordinate test functions read their column of the states; any other
     # function has a placeholder column that its value at each row replaces
-    functions = _CTX["functions"]
     cols = np.array([f.j if type(f) is _Coordinate else -1 for f in functions], dtype=np.intp)
     calls = [(j, f) for j, f in enumerate(functions) if cols[j] < 0]
     w = model.words_per_step
@@ -382,13 +386,13 @@ def _excursion_block(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     def first_step(a, b):
         # words 0..w of chains a..b-1: the start, then the first step of
         # each chain whose start lies inside the set (tau = 0 for the rest)
-        words = stream_words(seed, CHAIN_LABEL, chains[a:b], w + 1)
+        words = stream_words(master_seed, CHAIN_LABEL, chains[a:b], w + 1)
         xs = atoms[sampler.pick((words[:, 0] >> np.uint64(11)) * 2.0**-53)]
         inside = np.flatnonzero(model.f_values(xs) <= R)
         return advance(a + inside, xs[inside], words[:, 1:], inside, 0)
 
     def next_steps(idx, xs, done, steps):
-        words = stream_words(seed, CHAIN_LABEL, chains[idx], steps * w, 1 + done * w)
+        words = stream_words(master_seed, CHAIN_LABEL, chains[idx], steps * w, 1 + done * w)
         return advance(idx, xs, words, np.arange(idx.size), done)
 
     rows = max(1, _WINDOW_WORDS // (w + 1))
@@ -435,15 +439,10 @@ def msc_estimate(
     if cap < 1:
         raise ValueError("cap must be >= 1")
     sampler = CategoricalSampler(atoms.norm_weights)
-    ctx = {
-        "model": model,
-        "sampler": sampler,
-        "atoms": atoms.atoms,
-        "functions": list(functions),
-        "cap": cap,
-        "master_seed": master_seed,
-    }
-    sums, taus = _map_blocks(_excursion_block, M, ctx, workers)
+    fn = partial(_excursion_block, model, atoms.atoms, sampler, list(functions), cap, master_seed)
+    sums, taus = _map_blocks(fn, M, workers)
+    if not taus.any():
+        raise WeightError(f"all {M} chains started outside the drift set, so none ran")
 
     # sums is in chain order whatever the worker count, so this reduction and
     # the output files are byte-reproducible; the squared deviations overwrite

@@ -45,7 +45,6 @@ class Dataset:
     X: np.ndarray
     y: np.ndarray
     column_names: list[str]
-    standardization: tuple[np.ndarray, np.ndarray] | None = None  # (means, scales)
 
     def __post_init__(self):
         if self.X.ndim != 2 or self.X.shape[0] < 1 or self.X.shape[1] < 1:
@@ -86,8 +85,8 @@ def load_heart_dataset(
     The target is 1 when the disease column is positive.  Nominal attributes
     (cp, restecg, slope, thal) are one-hot encoded with the lowest level
     dropped; ca stays numeric; an intercept column is appended last.
-    ``standardize`` z-scores every non-intercept column and records the
-    (means, scales) pair so estimates can be mapped back.
+    ``standardize`` z-scores every non-intercept column (a constant column
+    is only centered).
     """
     kept: list[list[float]] = []
     n_dropped = 0
@@ -128,13 +127,10 @@ def load_heart_dataset(
             names.append(name)
     X = np.column_stack(blocks)
 
-    standardization = None
     if standardize:
-        means = X.mean(axis=0)
         scales = X.std(axis=0, ddof=0)
         scales[scales == 0.0] = 1.0
-        X = (X - means) / scales
-        standardization = (means, scales)
+        X = (X - X.mean(axis=0)) / scales
     X = np.column_stack([X, np.ones(X.shape[0])])
     names.append("intercept")
     if verbose:
@@ -143,7 +139,7 @@ def load_heart_dataset(
             f"values), {len(names)} design columns (incl. intercept), "
             f"{int(y.sum())} positive responses"
         )
-    return Dataset(X=X, y=y, column_names=names, standardization=standardization)
+    return Dataset(X=X, y=y, column_names=names)
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:

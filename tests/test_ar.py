@@ -141,9 +141,7 @@ class TestProposeBlock:
             model = ArModel(ArConfig(rho=0.9, d=d, h=0.49, r=1.5))
             # about 8 rows a chunk: several chunks, a ragged last one
             monkeypatch.setattr(engine, "_WINDOW_WORDS", 8 * d + 1)
-        monkeypatch.setitem(engine._CTX, "model", model)
-        monkeypatch.setitem(engine._CTX, "master_seed", 31)
-        atoms, logw = engine._propose_block((lo, hi))
+        atoms, logw = engine._propose_block(model, 31, (lo, hi))
         assert len(atoms) == hi - lo and logw.shape == (hi - lo,)
         for i in range(lo, hi):
             x = model.propose(derive_stream(31, "init", i))

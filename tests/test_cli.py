@@ -143,6 +143,21 @@ class TestRunAr:
         )
         assert main(["run-ar", str(cfg)]) == 1
 
+    def test_every_start_outside_exit_1(self, tmp_path, capsys):
+        # a proposal this wide puts every atom, so every chain's start,
+        # outside the drift set: an estimate of 0 +- 0 would mean nothing
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "out"), ar={"h": 1e308})
+        with np.errstate(over="ignore"):
+            assert main(["run-ar", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "engine error: all 400 chains started outside the drift set" in err
+        assert not (tmp_path / "out" / "estimates.csv").exists()
+
+    def test_desk_config_does_not_warn(self, tmp_path, capsys):
+        path = os.path.join(REPO_ROOT, "configs", "ar_desk.json")
+        assert main(["run-ar", path, "--out", str(tmp_path / "out"), "--workers", "1"]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestRunLogit:
     def test_output_contract(self, tmp_path):
@@ -229,6 +244,37 @@ class TestRunLogit:
         assert main(["baseline-rwm", str(cfg)]) == 0
         assert "acceptance rate" in capsys.readouterr().out
         assert os.path.exists(out / "baseline_rwm.csv")
+
+    def test_collapsed_restart_warns(self, tmp_path, capsys):
+        # the prior-scale proposal puts almost all weight on one heart atom
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            model="logit",
+            out_dir=str(out),
+            n_atoms=2_000,
+            n_chains=50,
+            logit={"data_path": HEART_PATH},
+        )
+        assert main(["run-logit", str(cfg)]) == 0
+        assert "warning: restart ess = 1.00 of 2000 atoms" in capsys.readouterr().err
+        assert json.loads((out / "diagnostics.json").read_text())["ess"] < 2
+
+    @pytest.mark.parametrize("sigma_scale", [1e-300, 1e-160])
+    def test_vanishing_sigma_scale_named(self, tmp_path, capsys, sigma_scale):
+        # L = |Sigma|^2 |score|^2 underflows to 0 at 1e-300, and at 1e-160
+        # is too small for 1 + rL to exceed 1 + L; the score is nonzero
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            model="logit",
+            out_dir=str(tmp_path / "out"),
+            logit={"data_path": HEART_PATH, "sigma_scale": sigma_scale},
+        )
+        assert main(["run-logit", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"logit.sigma_scale = {sigma_scale!r}" in err
+        assert "score" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_data_file_exit_2(self, tmp_path, capsys):
         cfg = write_config(
@@ -345,6 +391,8 @@ class TestConfigHandling:
                 {"logit": {"data_path": HEART_PATH}, "baseline": {"steps": 3, "burn_in": 0}},
                 None,
             ),
+            ("run-ar", {"out_dir": 5}, None),
+            ("run-ar", {"out_dir": ["a"]}, None),
         ],
         ids=[
             "logit-sigma-scale",
@@ -393,6 +441,8 @@ class TestConfigHandling:
             "logit-sigma-scale-overflow",
             "baseline-sigma-scale-overflow",
             "baseline-too-few-kept-steps",
+            "out-dir-int",
+            "out-dir-list",
         ],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, monkeypatch, command, overrides, env):
@@ -400,7 +450,7 @@ class TestConfigHandling:
             monkeypatch.delenv("MSC_WORKERS", raising=False)
         else:
             monkeypatch.setenv("MSC_WORKERS", env)
-        cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "out"), **overrides)
+        cfg = write_config(tmp_path / "cfg.json", **{"out_dir": str(tmp_path / "out"), **overrides})
         assert main([command, str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()

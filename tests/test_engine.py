@@ -1,9 +1,11 @@
+import gc
 import math
 import multiprocessing.pool
 import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -326,6 +328,20 @@ class TestMscEstimate:
             assert np.array_equal(results[0].estimates, other.estimates)
             assert np.array_equal(results[0].stderrs, other.stderrs)
             assert np.array_equal(results[0].taus, other.taus)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stage_inputs_freed_with_caller(self, workers):
+        # the engine keeps no reference to a stage's inputs once it returns,
+        # so the caller's last reference frees the atom matrix
+        model = ArModel(ArConfig(rho=0.9, d=2, h=0.49, r=1.5))
+        atoms = build_initial_distribution(model, 2_000, master_seed=5, workers=workers)
+        result = msc_estimate(
+            model, atoms, 400, coordinate_functions(2), master_seed=5, workers=workers
+        )
+        ref = weakref.ref(atoms.atoms)
+        del atoms, result
+        gc.collect()
+        assert ref() is None
 
     @pytest.mark.parametrize("case", ["1-0.9", "2-0.9", "16-0.9", "2-0.995", "logit"])
     def test_lockstep_equals_scalar_loop(self, monkeypatch, request, case):

@@ -361,15 +361,16 @@ class TestHeartLoader:
         with pytest.raises(DataFormatError, match="unparseable"):
             load_heart_dataset(str(path))
 
-    def test_standardize_records_transformation(self, heart_path):
+    def test_standardize_z_scores_columns(self, heart_path):
         ds = load_heart_dataset(heart_path, standardize=True)
         raw = load_heart_dataset(heart_path)
-        means, scales = ds.standardization
-        body = ds.X[:, :-1]
+        body, raw_body = ds.X[:, :-1], raw.X[:, :-1]
         assert np.all(np.abs(body.mean(axis=0)) < 1e-10)
         assert np.allclose(body.std(axis=0), 1.0)
-        # transformation maps back to the raw design
-        assert np.allclose(body * scales + means, raw.X[:, :-1])
+        # each column is an affine map of its raw column; the intercept stays
+        means, scales = raw_body.mean(axis=0), raw_body.std(axis=0)
+        assert np.allclose(body * scales + means, raw_body)
+        assert np.array_equal(ds.X[:, -1], raw.X[:, -1])
 
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
