@@ -17,6 +17,10 @@ from .rng import ndtri, open_uniform
 
 __all__ = ["ArConfig", "ArModel"]
 
+# the largest |coordinate| of a standard normal draw from one word: the
+# normal inverse CDF of the top open_uniform value, about 8.21
+_Z_MAX = float(ndtri(open_uniform(np.array([2**64 - 1], dtype=np.uint64)))[0])
+
 
 @dataclass(frozen=True)
 class ArConfig:
@@ -37,6 +41,14 @@ class ArConfig:
             raise ValueError("h must be positive")
         if not self.r > 1.0:
             raise ValueError("r must exceed 1")
+        # the largest proposal draw, every coordinate at sqrt(1/2 + h) _Z_MAX,
+        # must keep a finite squared norm, or f_values and log_weights overflow
+        top = math.sqrt(0.5 + self.h) * _Z_MAX
+        if not math.isfinite(self.d * (top * top)):
+            raise ValueError(
+                f"h = {self.h!r} is too large at d = {self.d}: the largest proposal "
+                "draw's squared norm overflows"
+            )
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:

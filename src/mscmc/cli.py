@@ -138,8 +138,8 @@ def _ar_config(cfg: dict) -> ArConfig:
             h=_number("ar.h", block.get("h", 0.49), float),
             r=_number("ar.r", block.get("r", 1.5), float),
         )
-    except ValueError as err:
-        raise ConfigError(f"bad AR parameters: {err}") from None
+    except ValueError as err:  # ArConfig's messages open with the field's name
+        raise ConfigError(f"bad AR parameters: ar.{err}") from None
 
 
 def _logit_model(cfg: dict) -> LogitModel:

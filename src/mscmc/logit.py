@@ -254,13 +254,11 @@ def map_estimate(posterior: LogitPosterior, tol: float = 1e-8, max_iter: int = 1
     raise RuntimeError(f"mode search did not reach gradient norm {tol} in {max_iter} steps")
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # a @ b summed over the shared axis one term at a time: unlike BLAS, a
-    # row of the result has the same bits alone or in a block of any size
-    out = a[:, :1] * b[0]
-    for k in range(1, len(b)):
-        out += a[:, k : k + 1] * b[k]
-    return out
+def _matvecs(A: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    # A @ v for each row v of vs: one BLAS matrix-vector product per row, the
+    # call a single v makes, so a row has the same bits alone or in a block
+    # of any size
+    return (A @ vs[:, :, None])[:, :, 0]
 
 
 def _proposal_log_weights(posterior: LogitPosterior, betas: np.ndarray) -> np.ndarray:
@@ -268,13 +266,13 @@ def _proposal_log_weights(posterior: LogitPosterior, betas: np.ndarray) -> np.nd
     # for each row, r = beta - beta* and Sigma_prop^-1 = Sigma^-1 / (1/2 + h)
     ds = posterior.dataset
     resid = betas - posterior.beta_star
-    prior = np.sum(_product(betas, posterior.Sigma_inv) * betas, axis=1)
-    prop = np.sum(_product(resid, posterior.Sigma_inv) * resid, axis=1) / (0.5 + posterior.h)
+    prior = np.sum(_matvecs(posterior.Sigma_inv, betas) * betas, axis=1)
+    prop = np.sum(_matvecs(posterior.Sigma_inv, resid) * resid, axis=1) / (0.5 + posterior.h)
     out = 0.5 * (prop - prior) + posterior._log_norm_prop
     # passes of about 2**16 linear predictors bound the (rows, n) temporaries
     rows = max(1, (1 << 16) // ds.n)
     for a in range(0, len(betas), rows):
-        t = _product(betas[a : a + rows], ds.X.T)
+        t = _matvecs(ds.X, betas[a : a + rows])
         out[a : a + rows] -= np.sum(np.logaddexp(0.0, t) - ds.y * t, axis=1)
     return out
 
@@ -295,10 +293,8 @@ def proposal_log_weight(posterior: LogitPosterior, beta: np.ndarray) -> float:
 
 
 def _tilts(posterior: LogitPosterior, betas: np.ndarray) -> np.ndarray:
-    # |x_i . beta| for each row of betas: one matrix-vector product per row,
-    # the BLAS call a single beta makes, so a row has the same bits alone
-    # or in a block of any size
-    return np.abs(posterior.dataset.X @ betas[:, :, None])[:, :, 0]
+    # |x_i . beta| for each row of betas, row-stable as _matvecs is
+    return np.abs(_matvecs(posterior.dataset.X, betas))
 
 
 def _gibbs_betas(posterior: LogitPosterior, omega: np.ndarray, z: np.ndarray) -> np.ndarray:

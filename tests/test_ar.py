@@ -169,8 +169,20 @@ class TestPipeline:
         assert np.all(np.abs(res.estimates) <= 3 * res.stderrs)
 
     def test_config_validation(self):
-        for bad in (dict(rho=0.0), dict(rho=1.0), dict(d=0), dict(h=0.0), dict(r=1.0)):
+        bads = (dict(rho=0.0), dict(rho=1.0), dict(d=0), dict(h=0.0), dict(h=1e308), dict(r=1.0))
+        for bad in bads:
             kwargs = dict(rho=0.9, d=2, h=0.49, r=1.5)
             kwargs.update(bad)
             with pytest.raises(ValueError):
                 ArConfig(**kwargs)
+
+    def test_h_bound_is_the_largest_draw(self):
+        # at d = 2 and h = 1e306 the largest draw's squared norm, 1.35e308,
+        # is finite; a third coordinate would take it past float range
+        model = ArModel(ArConfig(rho=0.9, d=2, h=1e306, r=1.5))
+        with np.errstate(all="raise"):
+            atoms = model.atoms(np.full((1, 2), 2**64 - 1, dtype=np.uint64))
+            assert np.isfinite(model.f_values(atoms)).all()
+            assert np.isfinite(model.log_weights(atoms)).all()
+        with pytest.raises(ValueError, match=r"h = 1e\+306 is too large at d = 3"):
+            ArConfig(rho=0.9, d=3, h=1e306, r=1.5)

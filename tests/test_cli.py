@@ -146,9 +146,8 @@ class TestRunAr:
     def test_every_start_outside_exit_1(self, tmp_path, capsys):
         # a proposal this wide puts every atom, so every chain's start,
         # outside the drift set: an estimate of 0 +- 0 would mean nothing
-        cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "out"), ar={"h": 1e308})
-        with np.errstate(over="ignore"):
-            assert main(["run-ar", str(cfg)]) == 1
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "out"), ar={"h": 1e200})
+        assert main(["run-ar", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "engine error: all 400 chains started outside the drift set" in err
         assert not (tmp_path / "out" / "estimates.csv").exists()
@@ -356,10 +355,12 @@ class TestConfigHandling:
             ("run-ar", {"ar": {"h": True}}, None),
             ("run-ar", {"ar": {"r": math.inf}}, None),
             ("run-ar", {"ar": {"h": 1e-320}}, None),
+            ("run-ar", {"ar": {"h": 1e308}}, None),
             ("plan", {"plan": {"eps": "0.1"}}, None),
             ("plan", {"plan": {"delta": math.nan}}, None),
             ("plan", {"ar": {"r": 1e308}}, None),
             ("plan", {"ar": {"h": 1e-320}}, None),
+            ("plan", {"ar": {"h": 1e308}}, None),
             ("plan", {"plan": {"eps": 1e-200}}, None),
             ("run-logit", {"logit": {"data_path": HEART_PATH, "sigma_scale": True}}, None),
             ("run-logit", {"logit": {"data_path": HEART_PATH, "sigma_scale": math.nan}}, None),
@@ -422,10 +423,12 @@ class TestConfigHandling:
             "ar-h-bool",
             "ar-r-infinite",
             "ar-h-overflow",
+            "ar-h-draw-overflow",
             "plan-eps-text",
             "plan-delta-nan",
             "plan-ar-r-overflow",
             "plan-ar-h-overflow",
+            "plan-ar-h-draw-overflow",
             "plan-eps-underflow",
             "logit-sigma-scale-bool",
             "logit-sigma-scale-nan",
@@ -455,6 +458,15 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+
+    @pytest.mark.parametrize("command", ["run-ar", "plan"])
+    def test_ar_h_draw_overflow_named(self, tmp_path, capsys, command):
+        # rejected before any draw, so no overflow warning reaches stderr
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "out"), ar={"h": 1e308})
+        assert main([command, str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad AR parameters: ar.h = 1e+308 is too large at d = 2")
+        assert err.count("\n") == 1
 
     def test_unknown_key_named(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "out"), ar={"rh0": 0.5})
@@ -502,6 +514,14 @@ class TestPgSelftest:
         assert out.count("[ok]") == 2
 
 
+def _child_env() -> dict:
+    # a child interpreter imports mscmc from the checkout's src, as the tests do
+    env = dict(os.environ)
+    src = os.path.join(REPO_ROOT, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         cfg = write_config(
@@ -513,6 +533,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "mscmc.cli", "plan", str(cfg)],
             capture_output=True,
             text=True,
+            env=_child_env(),
         )
         assert proc.returncode == 0
         assert "N_required" in proc.stdout
@@ -562,14 +583,11 @@ class TestScipyFree:
             logit={"data_path": HEART_PATH, "sigma_scale": 10.0, "h": 0.49, "r": 1.001},
             baseline={"steps": 200, "burn_in": 20, "start": "atoms"},
         )
-        src = os.path.join(os.path.dirname(HEART_PATH), os.pardir, "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c", SCIPY_FREE_SCRIPT, str(ar_cfg), str(logit_cfg)],
             capture_output=True,
             text=True,
-            env=env,
+            env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert os.path.exists(tmp_path / "ar" / "estimates.csv")

@@ -8,7 +8,12 @@ from conftest import bootstrap_stderr
 from mscmc import logit
 from mscmc.baselines import run_single_chain_gibbs
 from mscmc.bounds import logit_gibbs_constants
-from mscmc.engine import build_initial_distribution, coordinate_functions, msc_estimate
+from mscmc.engine import (
+    _atoms_from_log_weights,
+    build_initial_distribution,
+    coordinate_functions,
+    msc_estimate,
+)
 from mscmc.logit import (
     DataFormatError,
     Dataset,
@@ -227,6 +232,64 @@ class TestProposal:
         stat = lambda v: len(v) * float(np.sum(v**2)) / float(np.sum(v)) ** 2
         se = bootstrap_stderr(gen, atoms.norm_weights, stat, n_boot=200)
         assert atoms.w2_hat <= consts["W_d"] + 3 * se
+
+
+@pytest.fixture(scope="module")
+def dense_sigma_model() -> LogitModel:
+    """n = 100, d = 5 with a dense SPD prior covariance, so the quadratic
+    forms use Sigma^-1 off the diagonal and 1,000 rows take two passes of
+    linear predictors; prior and data are of a scale that keeps the
+    restart ess above 100 of 3,000."""
+    gen = derive_stream(17, "dense-sigma", 0).gen
+    X = np.column_stack([0.5 * gen.standard_normal((100, 4)), np.ones(100)])
+    y = (gen.random(100) < 1.0 / (1.0 + np.exp(-X @ [0.6, -0.4, 0.3, 0.0, 0.2]))).astype(float)
+    A = gen.standard_normal((5, 5))
+    Sigma = 0.2 * (A @ A.T + np.eye(5))
+    ds = Dataset(X=X, y=y, column_names=[f"x{j}" for j in range(5)])
+    return LogitModel(LogitPosterior(ds, Sigma, h=0.3), r=1.5)
+
+
+class TestLogWeights:
+    def _betas(self, model, k):
+        post = model.posterior
+        return proposal_sample(post, derive_stream(17, "dense-betas", 0)) + 0.3 * (
+            derive_stream(17, "dense-betas", 1).gen.standard_normal((k, post.d))
+        )
+
+    def test_rows_have_block_independent_bits(self, dense_sigma_model):
+        # one row at a time through the one-row proposal_log_weight, and in
+        # blocks split at uneven points, against one block of all rows
+        model = dense_sigma_model
+        betas = self._betas(model, 1_000)
+        block = model.log_weights(betas)
+        alone = np.array([proposal_log_weight(model.posterior, b) for b in betas])
+        cuts = [0, 1, 137, 363, 364, 999, 1_000]
+        split = np.concatenate([model.log_weights(betas[a:b]) for a, b in zip(cuts, cuts[1:])])
+        assert np.array_equal(alone, block)
+        assert np.array_equal(split, block)
+
+    def test_matches_posterior_over_proposal_density(self, dense_sigma_model):
+        post = dense_sigma_model.posterior
+        betas = self._betas(dense_sigma_model, 200)
+        cov = (0.5 + post.h) * post.Sigma
+        _, logdet = np.linalg.slogdet(math.tau * cov)
+        resid = betas - post.beta_star
+        log_prop = -0.5 * np.sum(resid * np.linalg.solve(cov, resid.T).T, axis=1) - 0.5 * logdet
+        direct = np.array([log_unnorm_posterior(b, post) for b in betas]) - log_prop
+        got = dense_sigma_model.log_weights(betas)
+        np.testing.assert_allclose(
+            got[1:] - got[0], direct[1:] - direct[0], rtol=1e-9, atol=1e-9 * np.abs(direct).max()
+        )
+
+    def test_restart_weights_independent_of_workers(self, dense_sigma_model):
+        model = dense_sigma_model
+        one = build_initial_distribution(model, 3_000, master_seed=17, workers=1)
+        two = build_initial_distribution(model, 3_000, master_seed=17, workers=2)
+        assert np.array_equal(one.atoms, two.atoms)
+        assert np.array_equal(one.norm_weights, two.norm_weights)
+        whole = _atoms_from_log_weights(one.atoms, model.log_weights(one.atoms))
+        assert np.array_equal(one.norm_weights, whole.norm_weights)
+        assert one.ess > 100  # the comparison covers many weights, not one
 
 
 class TestGibbsKernel:
