@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ar_drift_constants
-from .engine import DriftSpec, ModelBundle
+from .engine import ModelBundle
 from .rng import ndtri, open_uniform
 
 __all__ = ["ArConfig", "ArModel"]
@@ -66,9 +66,10 @@ class ArModel(ModelBundle):
 
     def __init__(self, config: ArConfig):
         self.config = config
-        gamma, K, R, w2, _ = ar_drift_constants(config.rho, config.d, config.h, config.r)
-        self.drift = DriftSpec(gamma=gamma, K=K, R=R)
-        self.weight_second_moment = w2  # closed form, for cross-checks
+        # w2 in closed form, for cross-checks
+        self.drift, self.weight_second_moment = ar_drift_constants(
+            config.rho, config.d, config.h, config.r
+        )
         self._prop_scale = math.sqrt(0.5 + config.h)
         self._noise_scale = math.sqrt(1.0 - config.rho**2)
         self.words_per_atom = self.words_per_step = config.d

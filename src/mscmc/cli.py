@@ -22,6 +22,7 @@ from . import bounds
 from .ar import ArConfig, ArModel
 from .baselines import run_rwm, run_single_chain_gibbs
 from .engine import (
+    DEFAULT_EXCURSION_CAP,
     CapExceededError,
     WeightError,
     build_initial_distribution,
@@ -47,7 +48,7 @@ DEFAULTS = {
     "master_seed": 1,
     "n_atoms": 100_000,
     "n_chains": 10_000,
-    "excursion_cap": 1_000_000,
+    "excursion_cap": DEFAULT_EXCURSION_CAP,
     "workers": None,
     "out_dir": "msc-out",
 }
@@ -225,14 +226,25 @@ def _plan_params(cfg: dict) -> tuple[float, float, list[int]]:
 def cmd_plan(cfg: dict) -> int:
     ar = _ar_config(cfg)
     eps, delta, dims = _plan_params(cfg)
-    try:
-        rows = []
-        for d in dims:
-            gamma, K, R, w2, sup_v = bounds.ar_drift_constants(ar.rho, d, ar.h, ar.r)
-            N, M = bounds.plan_sizes(eps, delta, gamma, K, R, w2, sup_v)
-            rows.append([d, gamma, K, R, bounds.effective_rate(gamma, K, R), w2, N, M])
-    except (ValueError, ArithmeticError) as err:
-        raise ConfigError(f"bad plan parameters: {err}") from None
+    rows = []
+    for d in dims:
+        w2 = None
+        try:
+            drift, w2 = bounds.ar_drift_constants(ar.rho, d, ar.h, ar.r)
+            N, M = bounds.plan_sizes(eps, delta, drift, w2)
+        except OverflowError:  # w2 = t^d, or a planned size, leaves float range
+            what = (
+                "the weight second moment w2 = t^d overflows"
+                if w2 is None
+                else f"w2 = {w2!r}, ar.r = {ar.r!r} (R = {drift.R!r}) and plan.eps = {eps!r} "
+                "overflow the planned sizes"
+            )
+            raise ConfigError(
+                f"bad plan parameters: ar.h = {ar.h!r} at plan dimension d = {d}: {what}"
+            ) from None
+        except (ValueError, ArithmeticError) as err:
+            raise ConfigError(f"bad plan parameters: {err}") from None
+        rows.append([d, drift.gamma, drift.K, drift.R, drift.effective_rate, w2, N, M])
     header = ["d", "gamma", "K", "R", "gamma_R", "w2", "N_required", "M_required"]
     out = _ensure_out(cfg)
     _echo_config(cfg, out)

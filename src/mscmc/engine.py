@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import bounds
+from .bounds import DriftSpec
 from .rng import CategoricalSampler, RngStream, derive_stream, stream_words
 
 __all__ = [
@@ -68,27 +68,6 @@ class CapExceededError(RuntimeError):
 class WeightError(ValueError):
     """The weighted restart atoms are unusable: their weights are all zero or
     non-finite, or no chain started inside the drift set."""
-
-
-@dataclass(frozen=True)
-class DriftSpec:
-    """Constants (gamma, K, R) of a verified drift inequality.
-
-    The radius R must exceed K / (1 - gamma) so the effective rate
-    gamma + K/R stays below one.
-    """
-
-    gamma: float
-    K: float
-    R: float
-
-    def __post_init__(self):
-        bounds._check_drift(self.gamma, self.K, self.R)
-
-    @property
-    def effective_rate(self) -> float:
-        """gamma + K/R, the contraction rate on the sublevel-set complement."""
-        return bounds.effective_rate(self.gamma, self.K, self.R)
 
 
 class ModelBundle(ABC):
@@ -250,6 +229,14 @@ def _map_blocks(fn: Callable, total: int, workers: int | None) -> tuple[np.ndarr
     return outs
 
 
+def _check_words(model: ModelBundle, name: str, optional: bool = False) -> None:
+    # words_per_step, or words_per_atom (optional: None allowed), must be a
+    # positive int; checked before any pool forks
+    w = getattr(model, name, None)
+    if not (w is None and optional) and (not isinstance(w, (int, np.integer)) or w < 1):
+        raise TypeError(f"{name} must be a positive int (got {w!r})")
+
+
 def _propose_block(
     model: ModelBundle, master_seed: int, span: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -285,6 +272,7 @@ def build_initial_distribution(
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    _check_words(model, "words_per_atom", optional=True)
     atoms, logw = _map_blocks(partial(_propose_block, model, master_seed), N, workers)
     return _atoms_from_log_weights(atoms, logw)
 
@@ -431,9 +419,7 @@ def msc_estimate(
     count.  Each block's chains step together, each with the tau and sums
     that run_excursion gives it on its stream, for any test functions.
     """
-    w = getattr(model, "words_per_step", None)
-    if not isinstance(w, (int, np.integer)) or w < 1:
-        raise TypeError(f"words_per_step must be a positive int (got {w!r})")
+    _check_words(model, "words_per_step")
     if M < 2:
         raise ValueError("M must be >= 2 (a sample standard error needs two sums)")
     if cap < 1:

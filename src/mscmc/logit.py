@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import logit_gibbs_constants
-from .engine import DriftSpec, ModelBundle
+from .engine import ModelBundle
 from .rng import CounterDraws, RngStream, fnv1a64, ndtri, open_uniform, sample_polya_gamma_batch
 
 __all__ = [
@@ -341,11 +341,10 @@ class LogitModel(ModelBundle):
             raise ValueError("r must exceed 1")
         self.posterior = posterior
         self.r = r
-        consts = logit_gibbs_constants(
+        self.constants = logit_gibbs_constants(
             posterior.dataset.X, posterior.dataset.y, posterior.Sigma, posterior.h, r
         )
-        self.constants = consts
-        self.drift = DriftSpec(gamma=0.0, K=consts["K"], R=consts["R"])
+        self.drift = self.constants["drift"]
         self.words_per_step = posterior.d + 1
         posterior.beta_star  # force the mode before any worker forks
 

@@ -141,15 +141,7 @@ def test_acceptance_04_mse_bound_dominance():
         errors_sq[i] = res.estimates[0] ** 2  # true mean is zero
     empirical_mse = float(errors_sq.mean())
     bound = mse_bound(
-        GeometricBoundInput(
-            gamma=model.drift.gamma,
-            K=model.drift.K,
-            R=model.drift.R,
-            M=M,
-            N=N,
-            w2=model.weight_second_moment,
-            sup_V_C=model.drift.R,
-        )
+        GeometricBoundInput(drift=model.drift, M=M, N=N, w2=model.weight_second_moment)
     )
     ok = empirical_mse <= bound
     report(
@@ -166,18 +158,15 @@ def test_acceptance_05_planner_round_trip():
     worst = 0.0
     for eps in (0.05, 0.1, 0.2):
         for delta in (0.05, 0.1, 0.2):
-            gamma, K, R, w2, sup_v = ar_drift_constants(0.9, 2, 0.49, 1.5)
-            N, M = plan_sizes(eps, delta, gamma, K, R, w2, sup_v)
-            got = mse_bound(
-                GeometricBoundInput(gamma=gamma, K=K, R=R, M=M, N=N, w2=w2, sup_V_C=sup_v)
-            )
+            drift, w2 = ar_drift_constants(0.9, 2, 0.49, 1.5)
+            N, M = plan_sizes(eps, delta, drift, w2)
+            got = mse_bound(GeometricBoundInput(drift=drift, M=M, N=N, w2=w2))
             worst = max(worst, got / (delta * eps**2))
             assert got <= delta * eps**2
     dims = [1, 5, 10, 15, 20, 25, 30]
     Ns, Ms = [], []
     for d in dims:
-        gamma, K, R, w2, sup_v = ar_drift_constants(0.9, d, 0.49, 1.5)
-        N, M = plan_sizes(0.1, 0.1, gamma, K, R, w2, sup_v)
+        N, M = plan_sizes(0.1, 0.1, *ar_drift_constants(0.9, d, 0.49, 1.5))
         Ns.append(N)
         Ms.append(M)
     monotone = all(a < b for a, b in zip(Ms, Ms[1:])) and all(

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from mscmc import bounds
 from mscmc.bounds import (
+    DriftSpec,
     GeometricBoundInput,
     MultBoundInput,
-    bias_amplitude,
     bias_bound,
     chain_concentration_bound,
-    effective_rate,
     init_concentration_bound,
     logit_gibbs_constants,
     logit_mse_bound,
@@ -24,13 +23,12 @@ from mscmc.bounds import (
 )
 
 # the autoregressive reference point used throughout: rho=.9, d=2, h=.49, r=1.5
-AR = dict(gamma=0.81, K=0.57, R=4.0, w2=(1 / (2 * math.sqrt(0.98)) + math.sqrt(0.245)) ** 2)
+AR_DRIFT = DriftSpec(gamma=0.81, K=0.57, R=4.0)
+AR_W2 = (1 / (2 * math.sqrt(0.98)) + math.sqrt(0.245)) ** 2
 
 
 def ar_input(M=100_000, N=1_000_000) -> GeometricBoundInput:
-    return GeometricBoundInput(
-        gamma=AR["gamma"], K=AR["K"], R=AR["R"], M=M, N=N, w2=AR["w2"], sup_V_C=AR["R"]
-    )
+    return GeometricBoundInput(drift=AR_DRIFT, M=M, N=N, w2=AR_W2)
 
 
 def valid_drift():
@@ -44,10 +42,10 @@ def valid_drift():
 
 class TestEffectiveRate:
     def test_vanishing_K_limit(self):
-        assert effective_rate(0.7, 1e-12, 100.0) == pytest.approx(0.7, abs=1e-13)
+        assert DriftSpec(0.7, 1e-12, 100.0).effective_rate == pytest.approx(0.7, abs=1e-13)
 
     def test_ar_value_and_crosscheck(self):
-        rate = effective_rate(0.81, 0.57, 4.0)
+        rate = DriftSpec(0.81, 0.57, 4.0).effective_rate
         assert rate == pytest.approx(0.9525, abs=1e-12)
         # same number through the dimension-explicit route
         rho, d, r = 0.9, 2, 1.5
@@ -56,43 +54,45 @@ class TestEffectiveRate:
 
     def test_boundary_radius_rejected(self):
         with pytest.raises(ValueError):
-            effective_rate(0.5, 1.0, 2.0)  # R == K/(1-gamma) exactly
+            DriftSpec(0.5, 1.0, 2.0)  # R == K/(1-gamma) exactly
 
     @given(valid_drift())
     @settings(max_examples=200)
     def test_lies_strictly_between(self, triple):
         gamma, K, R = triple
-        rate = effective_rate(gamma, K, R)
+        rate = DriftSpec(gamma, K, R).effective_rate
         assert gamma < rate < 1.0
 
 
 class TestBiasAmplitude:
     def test_zero_gamma(self):
-        inp = GeometricBoundInput(gamma=0.0, K=1.0, R=3.0, M=10, N=10, w2=1.0, sup_V_C=3.0)
-        assert bias_amplitude(inp) == pytest.approx(1.0)
+        assert DriftSpec(gamma=0.0, K=1.0, R=3.0).amplitude == pytest.approx(1.0)
 
     def test_ar_value(self):
-        assert bias_amplitude(ar_input()) == pytest.approx(0.81 * 4 + 2 * 0.57 - 1, abs=1e-12)
-        assert bias_amplitude(ar_input()) == pytest.approx(3.38, abs=1e-12)
+        assert AR_DRIFT.amplitude == pytest.approx(0.81 * 4 + 2 * 0.57 - 1, abs=1e-12)
+        assert AR_DRIFT.amplitude == pytest.approx(3.38, abs=1e-12)
 
     def test_gibbs_chain_symbols(self):
         # gamma = 0, K = 1 + L gives amplitude 2L + 1
         L = 7.5
-        inp = GeometricBoundInput(
-            gamma=0.0, K=1.0 + L, R=1.0 + 2 * L, M=10, N=10, w2=1.0, sup_V_C=1.0 + 2 * L
-        )
-        assert bias_amplitude(inp) == pytest.approx(2 * L + 1, abs=1e-12)
+        drift = DriftSpec(gamma=0.0, K=1.0 + L, R=1.0 + 2 * L)
+        assert drift.amplitude == pytest.approx(2 * L + 1, abs=1e-12)
 
-    def test_sup_above_radius_rejected(self):
-        with pytest.raises(ValueError, match="sublevel"):
-            GeometricBoundInput(
-                gamma=0.81, K=0.57, R=4.0, M=10, N=10, w2=1.0, sup_V_C=4.5
-            )
+    @pytest.mark.parametrize("score", [2.5, 5.0, 35.125])
+    def test_logit_constants_amplitude(self, score):
+        # one observation x = 2 score, y = 1 and Sigma = 1 give
+        # L = |Sigma|^2 |X^T(Y - 1/2)|^2 = score^2 exactly, and the drift's
+        # amplitude is the literal logit bound's 2L + 1
+        out = logit_gibbs_constants(
+            np.array([[2.0 * score]]), np.array([1.0]), np.array([[1.0]]), h=0.49, r=1.5
+        )
+        assert out["L"] == score * score
+        assert out["drift"].amplitude == 2 * out["L"] + 1
 
 
 class TestBiasBound:
     def test_unit_weight_moment(self):
-        inp = GeometricBoundInput(gamma=0.81, K=0.57, R=4.0, M=10, N=1000, w2=1.0, sup_V_C=4.0)
+        inp = GeometricBoundInput(drift=AR_DRIFT, M=10, N=1000, w2=1.0)
         rate = 0.81 + 0.57 / 4.0
         expect = 2.0 * 3.38**2 / (1000 * (1 - rate) ** 2)
         assert bias_bound(inp) == pytest.approx(expect, rel=1e-12)
@@ -125,9 +125,8 @@ class TestBiasBound:
 
 class TestVarianceBound:
     def test_small_rate_limit(self):
-        inp = GeometricBoundInput(
-            gamma=1e-9, K=1e-9, R=1.0, M=100, N=100, w2=1.0, sup_V_C=1.0
-        )
+        drift = DriftSpec(gamma=1e-9, K=1e-9, R=1.0)
+        inp = GeometricBoundInput(drift=drift, M=100, N=100, w2=1.0)
         assert variance_bound(inp) < 1e-17
 
     def test_ar_value(self):
@@ -144,8 +143,8 @@ class TestVarianceBound:
 class TestMseBound:
     def test_combination_identity(self):
         inp = ar_input(M=12_345, N=67_890)
-        rate = effective_rate(inp.gamma, inp.K, inp.R)
-        bias_sq_main = 4 * bias_amplitude(inp) ** 2 * inp.w2 / (inp.N * (1 - rate) ** 2)
+        rate = inp.drift.effective_rate
+        bias_sq_main = 4 * inp.drift.amplitude**2 * inp.w2 / (inp.N * (1 - rate) ** 2)
         combined = (math.sqrt(variance_bound(inp)) + math.sqrt(bias_sq_main)) ** 2
         assert mse_bound(inp) == pytest.approx(combined, rel=1e-12)
 
@@ -162,9 +161,8 @@ class TestMseBound:
 class TestSimplifiedMseBound:
     def test_worked_example(self):
         # gamma=.25, K=.5, R=2 puts the effective rate at exactly 0.5
-        inp = GeometricBoundInput(
-            gamma=0.25, K=0.5, R=2.0, M=100, N=10_000, w2=1.0, sup_V_C=2.0
-        )
+        drift = DriftSpec(gamma=0.25, K=0.5, R=2.0)
+        inp = GeometricBoundInput(drift=drift, M=100, N=10_000, w2=1.0)
         assert simplified_mse_bound(inp) == pytest.approx(0.5, rel=1e-12)
 
     def test_independent_of_N_when_valid(self):
@@ -180,7 +178,12 @@ class TestSimplifiedMseBound:
 def mult_input(eps=0.1, M=100_000, N=1_000_000, w_star=2.0, B=1.0) -> MultBoundInput:
     # gamma=.25, K=.5, R=2 gives effective rate 0.5
     return MultBoundInput(
-        gamma=0.25, K=0.5, R=2.0, mgf_amplitude=B, weight_sup=w_star, eps=eps, M=M, N=N
+        drift=DriftSpec(gamma=0.25, K=0.5, R=2.0),
+        mgf_amplitude=B,
+        weight_sup=w_star,
+        eps=eps,
+        M=M,
+        N=N,
     )
 
 
@@ -228,21 +231,16 @@ class TestPlanSizes:
     def test_round_trip_guarantee_grid(self):
         for eps in (0.05, 0.1, 0.2):
             for delta in (0.05, 0.1, 0.2):
-                N, M = plan_sizes(eps, delta, AR["gamma"], AR["K"], AR["R"], AR["w2"], AR["R"])
-                got = mse_bound(
-                    GeometricBoundInput(
-                        gamma=AR["gamma"], K=AR["K"], R=AR["R"], M=M, N=N,
-                        w2=AR["w2"], sup_V_C=AR["R"],
-                    )
-                )
+                N, M = plan_sizes(eps, delta, AR_DRIFT, AR_W2)
+                got = mse_bound(GeometricBoundInput(drift=AR_DRIFT, M=M, N=N, w2=AR_W2))
                 assert got <= delta * eps**2
 
     def test_ar_reference_point(self):
-        N, M = plan_sizes(0.1, 0.1, AR["gamma"], AR["K"], AR["R"], AR["w2"], AR["R"])
+        N, M = plan_sizes(0.1, 0.1, AR_DRIFT, AR_W2)
         # independent arithmetic for the same split
         rate = 0.81 + 0.57 / 4.0
         a = rate * math.sqrt(4.57) / (2 - rate)
-        b = 2 * 3.38 * math.sqrt(AR["w2"]) / (1 - rate)
+        b = 2 * 3.38 * math.sqrt(AR_W2) / (1 - rate)
         assert M == math.ceil(4 * a * a / 1e-3)
         assert N == math.ceil(4 * b * b / 1e-3)
         assert 1.4e4 < M < 1.6e4
@@ -252,8 +250,7 @@ class TestPlanSizes:
         dims = [1, 5, 10, 15, 20, 25, 30]
         Ns, Ms = [], []
         for d in dims:
-            gamma, K, R, w2, sup_v = bounds.ar_drift_constants(0.9, d, 0.49, 1.5)
-            N, M = plan_sizes(0.1, 0.1, gamma, K, R, w2, sup_v)
+            N, M = plan_sizes(0.1, 0.1, *bounds.ar_drift_constants(0.9, d, 0.49, 1.5))
             Ns.append(N)
             Ms.append(M)
         assert all(a < b for a, b in zip(Ms, Ms[1:]))  # monotone
@@ -266,30 +263,29 @@ class TestPlanSizes:
 
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
-            plan_sizes(0.0, 0.1, 0.81, 0.57, 4.0, 1.0, 4.0)
+            plan_sizes(0.0, 0.1, AR_DRIFT, 1.0)
         with pytest.raises(ValueError):
-            plan_sizes(0.1, 1.0, 0.81, 0.57, 4.0, 1.0, 4.0)
+            plan_sizes(0.1, 1.0, AR_DRIFT, 1.0)
 
 
 class TestArDriftConstants:
     def test_balanced_h_gives_unit_weight_moment(self):
         for d in (1, 2, 7, 21):
-            _, _, _, w2, _ = bounds.ar_drift_constants(0.9, d, 0.5, 1.5)
+            _, w2 = bounds.ar_drift_constants(0.9, d, 0.5, 1.5)
             assert w2 == pytest.approx(1.0, abs=1e-14)
 
     def test_reference_values(self):
-        gamma, K, R, w2, sup_v = bounds.ar_drift_constants(0.9, 2, 0.49, 1.5)
-        assert gamma == pytest.approx(0.81, abs=1e-14)
-        assert K == pytest.approx(0.57, abs=1e-14)
-        assert R == 4.0
-        assert sup_v == R
+        drift, w2 = bounds.ar_drift_constants(0.9, 2, 0.49, 1.5)
+        assert drift.gamma == pytest.approx(0.81, abs=1e-14)
+        assert drift.K == pytest.approx(0.57, abs=1e-14)
+        assert drift.R == 4.0
         assert w2 == pytest.approx(1.0001020408163266, rel=1e-12)
 
     def test_stationary_moment_identity(self):
         # K / (1 - gamma) collapses to exactly 1 + d
         for d in (1, 2, 10):
-            gamma, K, _, _, _ = bounds.ar_drift_constants(0.9, d, 0.49, 1.5)
-            assert K / (1 - gamma) == 1.0 + d
+            drift, _ = bounds.ar_drift_constants(0.9, d, 0.49, 1.5)
+            assert drift.K / (1 - drift.gamma) == 1.0 + d
 
     def test_validation(self):
         for bad in (dict(rho=1.0), dict(d=0), dict(h=0.0), dict(r=1.0)):
@@ -305,9 +301,10 @@ class TestLogitGibbsConstants:
             np.array([[1.0]]), np.array([1.0]), np.array([[10.0]]), h=0.49, r=1.001
         )
         assert out["L"] == pytest.approx(25.0, rel=1e-9)
-        assert out["R"] == pytest.approx(26.025, rel=1e-9)
-        assert out["K"] == pytest.approx(26.0, rel=1e-9)
-        assert effective_rate(0.0, out["K"], out["R"]) == pytest.approx(26.0 / 26.025, rel=1e-9)
+        assert out["drift"].gamma == 0.0
+        assert out["drift"].R == pytest.approx(26.025, rel=1e-9)
+        assert out["drift"].K == pytest.approx(26.0, rel=1e-9)
+        assert out["drift"].effective_rate == pytest.approx(26.0 / 26.025, rel=1e-9)
 
     def test_balanced_degenerate_flagged(self):
         X = np.array([[1.0], [1.0]])
@@ -344,6 +341,11 @@ class TestLogitGibbsConstants:
             )
 
 
+def gibbs_drift(L, r):
+    # the logit Gibbs chain's drift: gamma = 0, K = 1 + L, R = 1 + rL
+    return DriftSpec(gamma=0.0, K=1 + L, R=1 + r * L)
+
+
 class TestLogitMseBound:
     def test_literal_mode_formula(self):
         L, r, W_d, M, N = 25.0, 1.001, 40.0, 10_000, 1_000_000
@@ -352,18 +354,15 @@ class TestLogitMseBound:
             rate * math.sqrt((r + 1) * L + 2) / (math.sqrt(M) * (2 - rate))
             + (2 * L + 1) * W_d / (math.sqrt(N) * (1 - rate))
         ) ** 2
-        assert logit_mse_bound(L, r, W_d, M, N, mode="literal") == pytest.approx(
+        assert logit_mse_bound(gibbs_drift(L, r), W_d, M, N, mode="literal") == pytest.approx(
             expect, rel=1e-12
         )
 
     def test_generic_mode_composes_general_bound(self):
         L, r, W_d, M, N = 25.0, 1.001, 40.0, 10_000, 1_000_000
-        via_generic = mse_bound(
-            GeometricBoundInput(
-                gamma=0.0, K=1 + L, R=1 + r * L, M=M, N=N, w2=W_d, sup_V_C=1 + r * L
-            )
-        )
-        assert logit_mse_bound(L, r, W_d, M, N, mode="generic") == pytest.approx(
+        drift = gibbs_drift(L, r)
+        via_generic = mse_bound(GeometricBoundInput(drift=drift, M=M, N=N, w2=W_d))
+        assert logit_mse_bound(drift, W_d, M, N, mode="generic") == pytest.approx(
             via_generic, rel=1e-12
         )
 
@@ -371,8 +370,8 @@ class TestLogitMseBound:
         # both modes share the chain-variance term; they differ only in the
         # restart-bias coefficient convention
         L, r, M, N = 25.0, 1.5, 10_000, 10**16
-        lit = math.sqrt(logit_mse_bound(L, r, 1.0, M, N, mode="literal"))
-        thm = math.sqrt(logit_mse_bound(L, r, 1.0, M, N, mode="generic"))
+        lit = math.sqrt(logit_mse_bound(gibbs_drift(L, r), 1.0, M, N, mode="literal"))
+        thm = math.sqrt(logit_mse_bound(gibbs_drift(L, r), 1.0, M, N, mode="generic"))
         rate = (1 + L) / (1 + r * L)
         var_half = rate * math.sqrt((r + 1) * L + 2) / (math.sqrt(M) * (2 - rate))
         assert lit == pytest.approx(var_half, rel=1e-4)
@@ -380,4 +379,4 @@ class TestLogitMseBound:
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            logit_mse_bound(25.0, 1.5, 1.0, 100, 100, mode="blend")
+            logit_mse_bound(gibbs_drift(25.0, 1.5), 1.0, 100, 100, mode="blend")

@@ -85,8 +85,7 @@ class TestPlan:
         )
         assert main(["plan", str(cfg)]) == 0
         row = (tmp_path / "out" / "plan.csv").read_text().strip().splitlines()[1].split(",")
-        gamma, K, R, w2, sup_v = ar_drift_constants(0.9, 2, 0.49, 1.5)
-        N, M = plan_sizes(0.1, 0.1, gamma, K, R, w2, sup_v)
+        N, M = plan_sizes(0.1, 0.1, *ar_drift_constants(0.9, 2, 0.49, 1.5))
         assert int(row[6]) == N and int(row[7]) == M
 
 
@@ -394,6 +393,8 @@ class TestConfigHandling:
             ),
             ("run-ar", {"out_dir": 5}, None),
             ("run-ar", {"out_dir": ["a"]}, None),
+            ("plan", {"ar": {"h": 1e306, "d": 1}}, None),
+            ("plan", {"ar": {"h": 1e306, "d": 1}, "plan": {"dims": [2]}}, None),
         ],
         ids=[
             "logit-sigma-scale",
@@ -446,6 +447,8 @@ class TestConfigHandling:
             "baseline-too-few-kept-steps",
             "out-dir-int",
             "out-dir-list",
+            "plan-ar-h-w2-overflow",
+            "plan-ar-h-sizes-overflow",
         ],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, monkeypatch, command, overrides, env):
@@ -467,6 +470,24 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: bad AR parameters: ar.h = 1e+308 is too large at d = 2")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "dims, what",
+        [
+            ([1, 5], "ar.h = 1e+306 at plan dimension d = 5: the weight second moment"),
+            ([2], "ar.h = 1e+306 at plan dimension d = 2: w2 = "),
+        ],
+        ids=["w2", "sizes"],
+    )
+    def test_plan_overflow_named(self, tmp_path, capsys, dims, what):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            out_dir=str(tmp_path / "out"),
+            ar={"h": 1e306, "d": 1},
+            plan={"dims": dims},
+        )
+        assert main(["plan", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad plan parameters: " + what)
 
     def test_unknown_key_named(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "out"), ar={"rh0": 0.5})

@@ -46,6 +46,12 @@ class TestDriftSpec:
     def test_derived_constants(self):
         spec = DriftSpec(gamma=0.81, K=0.57, R=4.0)
         assert spec.effective_rate == pytest.approx(0.9525)
+        assert spec.amplitude == pytest.approx(3.38)
+
+    def test_one_class(self):
+        from mscmc import bounds
+
+        assert DriftSpec is bounds.DriftSpec is mscmc.DriftSpec
 
 
 class ConstantWeightModel(ModelBundle):
@@ -390,17 +396,32 @@ class TestMscEstimate:
         with pytest.raises(TypeError, match="kernel_block"):
             StepLess()
 
-    @pytest.mark.parametrize("words", ["missing", None, 0, -1])
-    def test_words_per_step_required(self, monkeypatch, words):
+    @pytest.mark.parametrize(
+        "name, words",
+        [
+            pytest.param("words_per_step", "missing", id="missing"),
+            pytest.param("words_per_step", None, id="None"),
+            pytest.param("words_per_step", 0, id="0"),
+            pytest.param("words_per_step", -1, id="-1"),
+            pytest.param("words_per_atom", 0, id="atom-0"),
+            pytest.param("words_per_atom", -1, id="atom--1"),
+            pytest.param("words_per_atom", 2.0, id="atom-2.0"),
+        ],
+    )
+    def test_words_per_step_required(self, monkeypatch, name, words):
+        # words_per_step and words_per_atom share one check, and both are
         # rejected before any pool forks
         model = SingletonModel()
         atoms = build_initial_distribution(model, 2, master_seed=2, workers=1)
         if words == "missing":
-            monkeypatch.delattr(SingletonModel, "words_per_step")
+            monkeypatch.delattr(SingletonModel, name)
         else:
-            model.words_per_step = words
-        with pytest.raises(TypeError, match="words_per_step"):
-            msc_estimate(model, atoms, 8, [], master_seed=2, workers=2)
+            setattr(model, name, words)
+        with pytest.raises(TypeError, match=f"{name} must be a positive int"):
+            if name == "words_per_atom":
+                build_initial_distribution(model, 8, master_seed=2, workers=2)
+            else:
+                msc_estimate(model, atoms, 8, [], master_seed=2, workers=2)
         assert multiprocessing.active_children() == []
 
     def test_mean_tau_vs_skip_fraction(self):
