@@ -46,6 +46,8 @@ class DriftSpec:
     R: float
 
     def __post_init__(self):
+        if not math.isfinite(self.R):
+            raise ValueError(f"R must be finite (got {self.R!r})")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must lie in [0, 1) (got {self.gamma!r})")
         if not self.K > 0.0:
@@ -252,6 +254,8 @@ def logit_gibbs_constants(
         )
     L = float(np.linalg.norm(Sigma, 2)) ** 2 * float(score @ score)
     K, R = 1.0 + L, 1.0 + r * L
+    if not math.isfinite(R):
+        raise OverflowError(f"the drift radius R = 1 + r L overflows at r = {r!r}, L = {L!r}")
     if r > 1.0 and not R > K:  # Sigma so small that L vanishes next to 1
         raise FloatingPointError(
             f"L = |Sigma|^2 |X^T(Y - 1/2)|^2 = {L!r} is too small: the radius "

@@ -168,8 +168,8 @@ def _logit_model(cfg: dict) -> LogitModel:
         return LogitModel(posterior, r)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    except ArithmeticError as err:  # the drift constants scale with sigma_scale**2
-        raise ConfigError(f"logit.sigma_scale = {sigma_scale!r} is out of range: {err}") from None
+    except ArithmeticError as err:  # L scales with sigma_scale**2, and R = 1 + rL
+        raise ConfigError(f"logit.sigma_scale = {sigma_scale!r}, logit.r = {r!r}: {err}") from None
 
 
 def _ensure_out(cfg: dict) -> str:
@@ -220,7 +220,14 @@ def _plan_params(cfg: dict) -> tuple[float, float, list[int]]:
         raise ConfigError(f"config key 'plan.dims' must be a nonempty list (got {dims!r})")
     if not (0 < eps < 1 and 0 < delta < 1):
         raise ConfigError("plan.eps and plan.delta must lie in (0, 1)")
-    return eps, delta, [_number("plan.dims", d, int) for d in dims]
+    if delta * eps**2 == 0.0:
+        raise ConfigError(
+            f"plan.eps = {eps!r}, plan.delta = {delta!r}: the budget delta eps^2 underflows"
+        )
+    dims = [_number("plan.dims", d, int) for d in dims]
+    if min(dims) < 1:
+        raise ConfigError(f"config key 'plan.dims' entries must be >= 1 (got {dims!r})")
+    return eps, delta, dims
 
 
 def cmd_plan(cfg: dict) -> int:
@@ -242,7 +249,12 @@ def cmd_plan(cfg: dict) -> int:
             raise ConfigError(
                 f"bad plan parameters: ar.h = {ar.h!r} at plan dimension d = {d}: {what}"
             ) from None
-        except (ValueError, ArithmeticError) as err:
+        except ValueError as err:  # ArConfig and _plan_params checked all but R
+            raise ConfigError(
+                f"bad plan parameters: ar.r = {ar.r!r} gives the drift radius R = 1 + r d "
+                f"at plan dimension d = {d}: {err}"
+            ) from None
+        except ArithmeticError as err:
             raise ConfigError(f"bad plan parameters: {err}") from None
         rows.append([d, drift.gamma, drift.K, drift.R, drift.effective_rate, w2, N, M])
     header = ["d", "gamma", "K", "R", "gamma_R", "w2", "N_required", "M_required"]
@@ -291,12 +303,12 @@ def _run_model(cfg: dict, model, names: list[str]) -> int:
     _write_diagnostics(
         out,
         {
-            "ess": result.ess,
-            "w2_hat": result.w2_hat,
+            "ess": atoms.ess,
+            "w2_hat": atoms.w2_hat,
             "skip_fraction": result.skip_fraction,
             "mean_tau": result.mean_tau,
             "p95_tau": result.p95_tau,
-            "n_atoms": result.N,
+            "n_atoms": atoms.N,
             "n_chains": result.M,
             "runtime_seconds": runtime,
             "workers": resolve_workers(cfg["workers"]),
@@ -304,7 +316,7 @@ def _run_model(cfg: dict, model, names: list[str]) -> int:
     )
     print(
         f"wrote {out}/estimates.csv ({len(names)} functions), "
-        f"mean_tau={result.mean_tau:.3f}, ess={result.ess:.1f}, "
+        f"mean_tau={result.mean_tau:.3f}, ess={atoms.ess:.1f}, "
         f"runtime={runtime:.1f}s"
     )
     return EXIT_OK
@@ -314,6 +326,11 @@ def cmd_run_ar(cfg: dict) -> int:
     config = _ar_config(cfg)
     try:
         model = ArModel(config)
+    except ValueError as err:  # ArConfig checked all but the drift radius R
+        raise ConfigError(
+            f"bad AR parameters: ar.r = {config.r!r} gives the drift radius R = 1 + r d "
+            f"at d = {config.d}: {err}"
+        ) from None
     except ArithmeticError as err:
         raise ConfigError(f"bad AR parameters: {err}") from None
     names = [f"x{j}" for j in range(config.d)]

@@ -11,6 +11,7 @@ addressed by (chain, step).
 from __future__ import annotations
 
 import multiprocessing
+import operator
 import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -141,13 +142,10 @@ class MscResult:
     estimates: np.ndarray
     stderrs: np.ndarray
     M: int
-    N: int
     mean_tau: float
     p95_tau: float
     skip_fraction: float
-    ess: float
-    w2_hat: float
-    taus: np.ndarray = field(default=None, repr=False)  # per-chain return times
+    taus: np.ndarray = field(repr=False)  # per-chain return times
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -297,18 +295,34 @@ def _atoms_from_log_weights(atoms: np.ndarray, logw: np.ndarray) -> WeightedAtom
     )
 
 
+def _values(functions: Sequence[Callable], xs: np.ndarray) -> np.ndarray:
+    # (n, len(functions)): each test function maps the (n, d) block xs to n
+    # values, written as a row of the transpose (a contiguous copy)
+    vals = np.empty((len(functions), len(xs)))
+    for j, f in enumerate(functions):
+        v = f(xs)
+        if np.shape(v) != (len(xs),):
+            raise TypeError(
+                f"test function {j} must map an (n, d) block of states to n values; "
+                f"at n = {len(xs)} it gave shape {np.shape(v)}"
+            )
+        vals[j] = v
+    return vals.T
+
+
 def run_excursion(
     model: ModelBundle,
     start: np.ndarray,
     stream: RngStream,
     cap: int,
-    functions: Sequence[Callable[[np.ndarray], float]],
+    functions: Sequence[Callable[[np.ndarray], np.ndarray]],
 ) -> tuple[int, np.ndarray]:
     """Run one excursion from ``start`` until the chain re-enters the drift set.
 
     Returns (tau, sums).  A start outside the set is skipped: tau = 0 and the
-    sums are zero.  Sums accumulate the test functions at steps 1..tau
-    inclusive (the entering step counts, the start does not).
+    sums are zero.  Sums accumulate the test functions, each called on a
+    one-row block, at steps 1..tau inclusive (the entering step counts, the
+    start does not).
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -318,7 +332,7 @@ def run_excursion(
     x = start
     for k in range(1, cap + 1):
         x = model.kernel_step(stream, x)
-        sums += [f(x) for f in functions]
+        sums += _values(functions, x[None])[0]
         if model.f_value(x) <= model.drift.R:
             return k, sums
     raise CapExceededError(cap)
@@ -328,41 +342,45 @@ def _excursion_block(
     model: ModelBundle,
     atoms: np.ndarray,
     sampler: CategoricalSampler,
-    functions: Sequence[Callable[[np.ndarray], float]],
+    functions: Sequence[Callable[[np.ndarray], np.ndarray]],
     cap: int,
     master_seed: int,
     span: tuple[int, int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    # The chains lo..hi-1, stepped together.  Word 0 of stream
+    # The chains lo..hi-1, stepped together in rounds.  Word 0 of stream
     # (CHAIN_LABEL, m) picks the start exactly as CategoricalSampler.sample
     # does, and step k reads words 1 + (k-1)w .. kw, so every chain retires
     # with the tau and sums that run_excursion gives it on that stream.
-    # Each round draws a window of steps for the live chains in stream_words
+    # Round 0 picks the starts and takes one step; each later round draws a
+    # window of steps for the live chains.  A round runs in stream_words
     # passes of about _WINDOW_WORDS words: many steps for a few stragglers,
     # or one step for a chunk of rows.
     lo, hi = span
-    # coordinate test functions read their column of the states; any other
-    # function has a placeholder column that its value at each row replaces
-    cols = np.array([f.j if type(f) is _Coordinate else -1 for f in functions], dtype=np.intp)
-    calls = [(j, f) for j, f in enumerate(functions) if cols[j] < 0]
     w = model.words_per_step
     R = model.drift.R
     chains = np.arange(lo, hi, dtype=np.uint64)
-    sums = np.zeros((hi - lo, cols.size))
+    sums = np.zeros((hi - lo, len(functions)))
     taus = np.zeros(hi - lo, dtype=np.int64)
 
-    def advance(idx, xs, words, pos, done):
-        # step chains idx (states xs, rows pos of the window words) through
-        # steps done+1.. of the window; return the chains still outside the
-        # set.  Each pass's arrays die with its caller's frame
-        for k in range(done + 1, done + words.shape[1] // w + 1):
-            c = (k - done - 1) * w
+    def advance(idx, xs, done, steps):
+        # steps done+1..done+steps of chains idx from states xs, on one window
+        # of their words; at done = 0 the window opens with word 0, which
+        # picks the starts, and only the chains that start inside the set
+        # step (tau = 0 for the rest).  Returns the chains still outside the
+        # set and their states; each pass's arrays die with this frame
+        first = int(done == 0)
+        words = stream_words(
+            master_seed, CHAIN_LABEL, chains[idx], steps * w + first, 1 + done * w - first
+        )
+        pos = np.arange(idx.size)  # each live chain's row of words
+        if first:
+            xs = atoms[sampler.pick((words[:, 0] >> np.uint64(11)) * 2.0**-53)]
+            pos = np.flatnonzero(model.f_values(xs) <= R)
+            idx, xs = idx[pos], xs[pos]
+        for k in range(done + 1, done + steps + 1):
+            c = first + (k - done - 1) * w
             xs = model.kernel_block(xs, words[pos, c : c + w])
-            if cols.size:
-                vals = xs[:, cols]
-                for j, f in calls:
-                    vals[:, j] = [f(x) for x in xs]
-                sums[idx] += vals
+            sums[idx] += _values(functions, xs)
             back = model.f_values(xs) <= R
             if back.any():
                 taus[idx[back]] = k
@@ -371,42 +389,29 @@ def _excursion_block(
                     break
         return idx, xs
 
-    def first_step(a, b):
-        # words 0..w of chains a..b-1: the start, then the first step of
-        # each chain whose start lies inside the set (tau = 0 for the rest)
-        words = stream_words(master_seed, CHAIN_LABEL, chains[a:b], w + 1)
-        xs = atoms[sampler.pick((words[:, 0] >> np.uint64(11)) * 2.0**-53)]
-        inside = np.flatnonzero(model.f_values(xs) <= R)
-        return advance(a + inside, xs[inside], words[:, 1:], inside, 0)
-
-    def next_steps(idx, xs, done, steps):
-        words = stream_words(master_seed, CHAIN_LABEL, chains[idx], steps * w, 1 + done * w)
-        return advance(idx, xs, words, np.arange(idx.size), done)
-
-    rows = max(1, _WINDOW_WORDS // (w + 1))
-    kept = [first_step(a, a + rows) for a in range(0, hi - lo, rows)]
-    done = 1  # steps every live chain has taken
-    while True:
-        live = np.concatenate([idx for idx, _ in kept])
-        if not live.size:
-            return sums, taus
+    idx = np.arange(hi - lo)  # the live chains
+    xs = np.empty((hi - lo, 0))  # their states: none before round 0
+    done = 0  # steps every live chain has taken
+    while idx.size:
         if done == cap:
-            raise CapExceededError(cap, chain_index=lo + int(live[0]))
-        x = np.concatenate([xs for _, xs in kept])
-        steps = min(max(1, _WINDOW_WORDS // (live.size * w)), cap - done)
-        rows = max(1, _WINDOW_WORDS // (steps * w))
+            raise CapExceededError(cap, chain_index=lo + int(idx[0]))
+        steps = min(max(1, _WINDOW_WORDS // (idx.size * w)), cap - done) if done else 1
+        rows = max(1, _WINDOW_WORDS // (steps * w + (done == 0)))
         kept = [
-            next_steps(live[a : a + rows], x[a : a + rows], done, steps)
-            for a in range(0, live.size, rows)
+            advance(idx[a : a + rows], xs[a : a + rows], done, steps)
+            for a in range(0, idx.size, rows)
         ]
+        idx = np.concatenate([i for i, _ in kept])
+        xs = np.concatenate([x for _, x in kept])
         done += steps
+    return sums, taus
 
 
 def msc_estimate(
     model: ModelBundle,
     atoms: WeightedAtoms,
     M: int,
-    functions: Sequence[Callable[[np.ndarray], float]],
+    functions: Sequence[Callable[[np.ndarray], np.ndarray]],
     master_seed: int,
     cap: int = DEFAULT_EXCURSION_CAP,
     workers: int | None = None,
@@ -417,7 +422,9 @@ def msc_estimate(
     (CHAIN_LABEL, m); the final reduction runs over the sums in chain order,
     so the result depends only on (master_seed, N, M) and never on the worker
     count.  Each block's chains step together, each with the tau and sums
-    that run_excursion gives it on its stream, for any test functions.
+    that run_excursion gives it on its stream.  Each test function maps an
+    (n, d) block of states to n values and must give a row the same value
+    alone or in a block; one that returns anything else raises TypeError.
     """
     _check_words(model, "words_per_step")
     if M < 2:
@@ -440,28 +447,14 @@ def msc_estimate(
         estimates=estimates,
         stderrs=std / np.sqrt(M),
         M=M,
-        N=atoms.N,
         mean_tau=float(taus.mean()),
         p95_tau=float(np.percentile(taus, 95)),
         skip_fraction=float(1.0 - (taus > 0).mean()),
-        ess=atoms.ess,
-        w2_hat=atoms.w2_hat,
         taus=taus,
     )
 
 
-class _Coordinate:
-    """Extract one coordinate of the state vector (picklable test function)."""
-
-    __slots__ = ("j",)
-
-    def __init__(self, j: int):
-        self.j = j
-
-    def __call__(self, x: np.ndarray) -> float:
-        return float(x[self.j])
-
-
-def coordinate_functions(d: int) -> list[Callable[[np.ndarray], float]]:
-    """The d coordinate-projection test functions."""
-    return [_Coordinate(j) for j in range(d)]
+def coordinate_functions(d: int) -> list[Callable[[np.ndarray], np.ndarray]]:
+    """The d coordinate-projection test functions: entry j maps a row to its
+    coordinate j and an (n, d) block to its column j (picklable)."""
+    return [operator.itemgetter((..., j)) for j in range(d)]

@@ -81,7 +81,7 @@ def test_acceptance_02_representation_identity():
     model = ArModel(AR_CFG)
     d = AR_CFG.d
     target_ball = chi2.cdf(d, df=d)  # numerical-CDF oracle for the indicator
-    functions = [lambda x: float(x[0]), lambda x: float(x @ x <= d)]
+    functions = [lambda x: x[:, 0], lambda x: (np.sum(x * x, axis=1) <= d).astype(float)]
     M = 1_000_000
     sums = np.empty((M, 2))
     stream = derive_stream(102, "repr", 0)
@@ -114,7 +114,7 @@ def test_acceptance_03_excursion_length_bound():
 
     atoms = build_initial_distribution(model, 100_000, master_seed=103)
     res = msc_estimate(
-        model, atoms, 100_000, [lambda x: 1.0 + float(x @ x)], master_seed=103
+        model, atoms, 100_000, [lambda x: 1.0 + np.sum(x * x, axis=1)], master_seed=103
     )
     fsum_mean = float(res.estimates[0])
     ok = fsum_mean <= bound and res.mean_tau <= bound

@@ -56,6 +56,11 @@ class TestEffectiveRate:
         with pytest.raises(ValueError):
             DriftSpec(0.5, 1.0, 2.0)  # R == K/(1-gamma) exactly
 
+    def test_infinite_radius_rejected(self):
+        # the return set {V <= inf} is the whole space, and the amplitude NaN
+        with pytest.raises(ValueError, match="R must be finite"):
+            DriftSpec(0.81, 0.57, math.inf)
+
     @given(valid_drift())
     @settings(max_examples=200)
     def test_lies_strictly_between(self, triple):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -395,6 +396,11 @@ class TestConfigHandling:
             ("run-ar", {"out_dir": ["a"]}, None),
             ("plan", {"ar": {"h": 1e306, "d": 1}}, None),
             ("plan", {"ar": {"h": 1e306, "d": 1}, "plan": {"dims": [2]}}, None),
+            ("run-ar", {"ar": {"r": 1e308}}, None),
+            ("plan", {"ar": {"r": 1e308, "d": 1}, "plan": {"dims": [5]}}, None),
+            ("run-logit", {"logit": {"data_path": HEART_PATH, "r": 1e308}}, None),
+            ("baseline-gibbs", {"logit": {"data_path": HEART_PATH, "r": 1e308}}, None),
+            ("baseline-rwm", {"logit": {"data_path": HEART_PATH, "r": 1e308}}, None),
         ],
         ids=[
             "logit-sigma-scale",
@@ -449,6 +455,11 @@ class TestConfigHandling:
             "out-dir-list",
             "plan-ar-h-w2-overflow",
             "plan-ar-h-sizes-overflow",
+            "ar-r-radius-overflow",
+            "plan-ar-r-radius-overflow",
+            "logit-r-radius-overflow",
+            "baseline-gibbs-r-radius-overflow",
+            "baseline-rwm-r-radius-overflow",
         ],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, monkeypatch, command, overrides, env):
@@ -488,6 +499,42 @@ class TestConfigHandling:
         )
         assert main(["plan", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: bad plan parameters: " + what)
+
+    @pytest.mark.parametrize(
+        "command, overrides, what",
+        [
+            (
+                "run-ar",
+                {"ar": {"r": 1e308}},
+                "bad AR parameters: ar.r = 1e+308 gives the drift radius R = 1 + r d at d = 2",
+            ),
+            (
+                "plan",
+                {"ar": {"r": 1e308, "d": 1}, "plan": {"dims": [5]}},
+                "bad plan parameters: ar.r = 1e+308 gives the drift radius R = 1 + r d at plan "
+                "dimension d = 5: R must be finite",
+            ),
+            ("run-logit", {"logit": {"data_path": HEART_PATH, "r": 1e308}}, "logit.r = 1e+308"),
+            *[
+                (command, {"logit": {"data_path": HEART_PATH, "r": 1e308}}, "logit.r = 1e+308")
+                for command in ("baseline-gibbs", "baseline-rwm")
+            ],
+            (
+                "plan",
+                {"plan": {"eps": 1e-200}},
+                "plan.eps = 1e-200, plan.delta = 0.1: the budget delta eps^2 underflows",
+            ),
+        ],
+        ids=["run-ar", "plan", "run-logit", "baseline-gibbs", "baseline-rwm", "plan-eps"],
+    )
+    def test_overflow_and_underflow_named(self, tmp_path, capsys, command, overrides, what):
+        # an infinite drift radius R = 1 + r d or 1 + r L would make the return
+        # set the whole space, and a zero budget would divide by zero
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "out"), **overrides)
+        assert main([command, str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert what in err
+        assert "radius" in err or "budget" in err
 
     def test_unknown_key_named(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "out"), ar={"rh0": 0.5})
@@ -614,3 +661,22 @@ class TestScipyFree:
         assert os.path.exists(tmp_path / "ar" / "estimates.csv")
         for name in ("estimates.csv", "baseline_gibbs.csv", "baseline_rwm.csv"):
             assert os.path.exists(tmp_path / "logit" / name)
+
+
+class TestOutputHashes:
+    def test_hashes_match_a_direct_run(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "unused"))
+        assert main(["run-ar", str(cfg), "--workers", "1", "--out", str(tmp_path / "direct")]) == 0
+        proc = subprocess.run(
+            [sys.executable, os.path.join(REPO_ROOT, "scripts", "output_hashes.py"), str(cfg)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 4
+        for name in ("estimates.csv", "excursions.csv"):
+            digest = hashlib.sha256((tmp_path / "direct" / name).read_bytes()).hexdigest()
+            for workers in (1, 2):
+                assert f"{digest}  {cfg} workers={workers} {name}" in lines
+        assert not (tmp_path / "unused").exists()

@@ -2,6 +2,7 @@ import gc
 import math
 import multiprocessing.pool
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -197,7 +198,9 @@ class TestRunExcursion:
     def test_immediate_return(self):
         model = SingletonModel()
         stream = derive_stream(1, "chain", 1)
-        tau, sums = run_excursion(model, np.array([0.0]), stream, 100, [lambda x: 7.5])
+        tau, sums = run_excursion(
+            model, np.array([0.0]), stream, 100, [lambda x: np.full(len(x), 7.5)]
+        )
         assert tau == 1
         assert sums.tolist() == [7.5]
 
@@ -205,7 +208,7 @@ class TestRunExcursion:
         model = TwoStepCycleModel()
         stream = derive_stream(1, "chain", 2)
         tau, sums = run_excursion(
-            model, np.array([0.0]), stream, 100, [lambda x: 1.0, lambda x: float(x[0])]
+            model, np.array([0.0]), stream, 100, [lambda x: np.ones(len(x)), lambda x: x[:, 0]]
         )
         # path is 0 -> 5 -> 0: two summed steps, the start is excluded
         assert tau == 2
@@ -279,7 +282,9 @@ class TestMscEstimate:
     def test_singleton_deterministic_estimate(self):
         model = SingletonModel()
         atoms = build_initial_distribution(model, 5, master_seed=2, workers=1)
-        res = msc_estimate(model, atoms, 50, [lambda x: 3.25], master_seed=2, workers=1)
+        res = msc_estimate(
+            model, atoms, 50, [lambda x: np.full(len(x), 3.25)], master_seed=2, workers=1
+        )
         assert res.estimates.tolist() == [3.25]
         assert res.stderrs.tolist() == [0.0]
         assert res.mean_tau == 1.0
@@ -352,13 +357,14 @@ class TestMscEstimate:
     @pytest.mark.parametrize("case", ["1-0.9", "2-0.9", "16-0.9", "2-0.995", "logit"])
     def test_lockstep_equals_scalar_loop(self, monkeypatch, request, case):
         # A 40-word window forces chunked first steps and multi-step windows.
-        # A lambda between the coordinates is called on each row while the
-        # coordinates are read as columns
+        # A block function between the coordinates, 1 + |x|^2 summed one
+        # column at a time, gives a row the same bits alone or in a block
         model = lockstep_bundle(request, case)
         atoms = build_initial_distribution(model, 2_000, master_seed=12, workers=1)
         coords = coordinate_functions(atoms.atoms.shape[1])
         windows = (engine._WINDOW_WORDS, 40)
-        for functions in (coords, coords[:1] + [lambda x: 1.0 + float(x @ x)] + coords[1:]):
+        sq_norm = lambda x: 1.0 + sum(c * c for c in x.T)
+        for functions in (coords, coords[:1] + [sq_norm] + coords[1:]):
             scalar = scalar_loop(model, atoms, 1_500, functions, 12)
             assert scalar.taus.max() > 1
             for window in windows:
@@ -369,6 +375,30 @@ class TestMscEstimate:
                 assert np.array_equal(lockstep.taus, scalar.taus)
         # no test functions at all runs the same chains
         assert np.array_equal(msc_estimate(model, atoms, 1_500, [], 12, workers=1).taus, scalar.taus)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "f",
+        [lambda x: 1.0, lambda x: np.float64(x[0, 0]), lambda x: x[:, :1]],
+        ids=["float", "numpy-scalar", "column"],
+    )
+    def test_function_must_map_block(self, workers, f):
+        # a per-row function (a scalar) or an (n, 1) column is refused at the
+        # first step, before any result exists, and the pool is drained
+        model = ArModel(ArConfig(rho=0.9, d=2, h=0.49, r=1.5))
+        atoms = build_initial_distribution(model, 500, master_seed=9, workers=1)
+        functions = coordinate_functions(2) + [f]
+        with pytest.raises(TypeError, match="test function 2 must map an"):
+            msc_estimate(model, atoms, 400, functions, 9, workers=workers)
+        assert multiprocessing.active_children() == []
+
+    def test_coordinate_functions_map_rows_and_blocks(self):
+        block = np.arange(12.0).reshape(4, 3)
+        for j, f in enumerate(pickle.loads(pickle.dumps(coordinate_functions(3)))):
+            assert np.array_equal(f(block), block[:, j])
+            for row in block:
+                assert f(row) == row[j]
+                assert np.array_equal(f(row[None]), [row[j]])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_lockstep_cap_error_names_scalar_chain(self, workers):
@@ -460,7 +490,7 @@ START_METHOD_SCRIPT = textwrap.dedent(
     if __name__ == "__main__":
         multiprocessing.set_start_method("forkserver", force=True)
         model = ArModel(ArConfig(rho=0.9, d=2, h=0.49, r=1.5))
-        functions = [lambda x: float(x[0])]
+        functions = [lambda x: x[:, 0]]
         runs = []
         for workers in (1, 2):
             atoms = build_initial_distribution(model, 2_000, master_seed=3, workers=workers)
