@@ -163,11 +163,15 @@ def _logit_model(cfg: dict) -> LogitModel:
         dataset = load_heart_dataset(data_path, standardize=standardize, verbose=True)
     except FileNotFoundError:
         raise ConfigError(f"data file not found: {data_path}") from None
+    # the config key and value behind each checked value, by the first word
+    # of the checks' messages; a degenerate design is the data file's fault
+    values = {"h": ("logit.h", h), "r": ("logit.r", r), "Sigma": ("logit.sigma_scale", sigma_scale)}
     try:
         posterior = LogitPosterior(dataset, sigma_scale * np.eye(dataset.d), h=h)
         return LogitModel(posterior, r)
     except ValueError as err:
-        raise ConfigError(str(err)) from None
+        key, val = values.get(str(err).split()[0], ("logit.data_path", data_path))
+        raise ConfigError(f"{key} = {val!r}: {err}") from None
     except ArithmeticError as err:  # L scales with sigma_scale**2, and R = 1 + rL
         raise ConfigError(f"logit.sigma_scale = {sigma_scale!r}, logit.r = {r!r}: {err}") from None
 
@@ -240,14 +244,14 @@ def cmd_plan(cfg: dict) -> int:
             drift, w2 = bounds.ar_drift_constants(ar.rho, d, ar.h, ar.r)
             N, M = bounds.plan_sizes(eps, delta, drift, w2)
         except OverflowError:  # w2 = t^d, or a planned size, leaves float range
-            what = (
-                "the weight second moment w2 = t^d overflows"
-                if w2 is None
-                else f"w2 = {w2!r}, ar.r = {ar.r!r} (R = {drift.R!r}) and plan.eps = {eps!r} "
-                "overflow the planned sizes"
-            )
+            if w2 is None:
+                raise ConfigError(
+                    f"bad plan parameters: ar.h = {ar.h!r} at plan dimension d = {d}: "
+                    "the weight second moment w2 = t^d overflows"
+                ) from None
             raise ConfigError(
-                f"bad plan parameters: ar.h = {ar.h!r} at plan dimension d = {d}: {what}"
+                f"bad plan parameters: ar.r = {ar.r!r} (R = {drift.R!r}) and plan.eps = "
+                f"{eps!r} overflow the planned sizes at plan dimension d = {d} (w2 = {w2!r})"
             ) from None
         except ValueError as err:  # ArConfig and _plan_params checked all but R
             raise ConfigError(

@@ -76,16 +76,21 @@ class ModelBundle(ABC):
 
     Each method maps a block of rows and must give a row the same bits in a
     block of any size (numpy's ``@`` does not; a sum in a fixed order does).
-    The kernel must be time-homogeneous and the drift function value >= 1,
-    and it reads exactly ``words_per_step`` raw words of its stream per step,
-    so the engine steps a block's chains together on their stream words.
+    The proposal declares its per-atom draw, exactly one of
+    ``words_per_atom`` raw words or ``normals_per_atom`` standard normals
+    (numpy's ziggurat) from the start of its stream, and ``atoms`` maps a
+    block of those draws, one row per atom, so the engine draws the restart
+    in chunks.  The kernel must be time-homogeneous and the drift function
+    value >= 1, and it reads exactly ``words_per_step`` raw words of its
+    stream per step, so the engine steps a block's chains together on their
+    stream words.
     """
 
     drift: DriftSpec
 
-    # A proposal that maps exactly this many raw words of its stream to an
-    # atom may set it and implement atoms, drawn in chunks; None calls propose.
+    # The per-atom draw: a model sets exactly one of these to a positive int.
     words_per_atom: int | None = None
+    normals_per_atom: int | None = None
 
     # Raw words of its stream that one kernel step reads: a positive int.
     words_per_step: int
@@ -98,8 +103,9 @@ class ModelBundle(ABC):
     def f_values(self, states: np.ndarray) -> np.ndarray:
         """Drift-function value of each row of ``states`` (always >= 1)."""
 
-    def atoms(self, words: np.ndarray) -> np.ndarray:
-        """Proposal draws, one row per row of ``words`` (n, words_per_atom) uint64."""
+    def atoms(self, draws: np.ndarray) -> np.ndarray:
+        """Proposal draws, one row per row of ``draws``: (n, words_per_atom)
+        uint64 words or (n, normals_per_atom) standard normals."""
         raise NotImplementedError
 
     @abstractmethod
@@ -112,10 +118,14 @@ class ModelBundle(ABC):
         return self.kernel_block(np.asarray(state)[None], words[None])[0]
 
     def propose(self, stream: RngStream) -> np.ndarray:
-        """One proposal draw; a variable-consumption proposal overrides this."""
-        if self.words_per_atom is None:
+        """One proposal draw, ``atoms`` of the next per-atom draw of ``stream``."""
+        if self.words_per_atom is not None:
+            draw = stream.gen.bit_generator.random_raw(self.words_per_atom)
+        elif self.normals_per_atom is not None:
+            draw = stream.gen.standard_normal(self.normals_per_atom)
+        else:
             raise NotImplementedError
-        return self.atoms(stream.gen.bit_generator.random_raw(self.words_per_atom)[None])[0]
+        return self.atoms(draw[None])[0]
 
     def log_weight(self, state: np.ndarray) -> float:
         return float(self.log_weights(np.asarray(state)[None])[0])
@@ -227,28 +237,45 @@ def _map_blocks(fn: Callable, total: int, workers: int | None) -> tuple[np.ndarr
     return outs
 
 
-def _check_words(model: ModelBundle, name: str, optional: bool = False) -> None:
-    # words_per_step, or words_per_atom (optional: None allowed), must be a
-    # positive int; checked before any pool forks
+def _check_words(model: ModelBundle, name: str) -> None:
+    # a per-step or per-atom draw count must be a positive int; checked
+    # before any pool forks
     w = getattr(model, name, None)
-    if not (w is None and optional) and (not isinstance(w, (int, np.integer)) or w < 1):
+    if not isinstance(w, (int, np.integer)) or w < 1:
         raise TypeError(f"{name} must be a positive int (got {w!r})")
+
+
+def _check_atom_draw(model: ModelBundle) -> None:
+    # a proposal declares exactly one per-atom draw, a positive count
+    named = [n for n in ("words_per_atom", "normals_per_atom") if getattr(model, n) is not None]
+    if len(named) != 1:
+        raise TypeError("a proposal sets exactly one of words_per_atom and normals_per_atom")
+    _check_words(model, named[0])
+
+
+def _atom_draws(model: ModelBundle, master_seed: int, lo: int, n: int) -> np.ndarray:
+    # the per-atom draws of atoms lo..lo+n-1, one row each: the first raw
+    # words of each stream (ATOM_LABEL, i), read by counter, or its first
+    # standard normals, drawn into the row
+    if model.words_per_atom is not None:
+        index = np.uint64(lo) + np.arange(n, dtype=np.uint64)
+        return stream_words(master_seed, ATOM_LABEL, index, model.words_per_atom)
+    z = np.empty((n, model.normals_per_atom))
+    stream = derive_stream(master_seed, ATOM_LABEL, lo)
+    for r, row in enumerate(z):
+        stream.rekey(lo + r).gen.standard_normal(out=row)
+    return z
 
 
 def _propose_block(
     model: ModelBundle, master_seed: int, span: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    # atoms lo..hi-1 and their log-weights, in chunks of about _WINDOW_WORDS words
+    # atoms lo..hi-1 and their log-weights, in chunks of about _WINDOW_WORDS draws
     lo, hi = span
-    if model.words_per_atom is None:  # atom i is propose on stream (ATOM_LABEL, i)
-        stream = derive_stream(master_seed, ATOM_LABEL, lo)
-        atoms = np.array([model.propose(stream.rekey(i)) for i in range(lo, hi)])
-        return atoms, model.log_weights(atoms)
-    rows = max(1, _WINDOW_WORDS // model.words_per_atom)
+    rows = max(1, _WINDOW_WORDS // (model.words_per_atom or model.normals_per_atom))
     logw = np.empty(hi - lo)
     for a in range(0, hi - lo, rows):
-        index = np.uint64(lo + a) + np.arange(min(rows, hi - lo - a), dtype=np.uint64)
-        x = model.atoms(stream_words(master_seed, ATOM_LABEL, index, model.words_per_atom))
+        x = model.atoms(_atom_draws(model, master_seed, lo + a, min(rows, hi - lo - a)))
         if a == 0:
             atoms = np.empty((hi - lo, x.shape[1]))
         atoms[a : a + len(x)] = x
@@ -264,13 +291,16 @@ def build_initial_distribution(
 ) -> WeightedAtoms:
     """Draw N proposal atoms on streams (ATOM_LABEL, i) and self-normalize their weights.
 
+    Atom i is ``atoms`` of the per-atom draw at the start of its stream, the
+    atom that ``propose`` gives on that stream.
+
     Log-weights may be -inf (zero-weight atoms) but not NaN or +inf, and not
     all -inf.  Normalization is done in the log domain with a max shift, so
     weights known only up to a constant are fine.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    _check_words(model, "words_per_atom", optional=True)
+    _check_atom_draw(model)
     atoms, logw = _map_blocks(partial(_propose_block, model, master_seed), N, workers)
     return _atoms_from_log_weights(atoms, logw)
 

@@ -269,18 +269,37 @@ def _proposal_log_weights(posterior: LogitPosterior, betas: np.ndarray) -> np.nd
     prior = np.sum(_matvecs(posterior.Sigma_inv, betas) * betas, axis=1)
     prop = np.sum(_matvecs(posterior.Sigma_inv, resid) * resid, axis=1) / (0.5 + posterior.h)
     out = 0.5 * (prop - prior) + posterior._log_norm_prop
-    # passes of about 2**16 linear predictors bound the (rows, n) temporaries
+    # The data term softplus(t) - y t is the softplus of u = (1 - 2y) t,
+    # max(u, 0) + log1p(exp(-|u|)), computed in place with |u| clipped at 40:
+    # past that the log1p term is below half an ulp of |u|, so the clip moves
+    # only terms with u <= -40, each by under 4.3e-18, and exp never takes
+    # its slow underflow path.  Passes of about 2**16 linear predictors
+    # bound the (rows, n) temporaries.
+    flip = 1.0 - 2.0 * ds.y
     rows = max(1, (1 << 16) // ds.n)
     for a in range(0, len(betas), rows):
-        t = _matvecs(ds.X, betas[a : a + rows])
-        out[a : a + rows] -= np.sum(np.logaddexp(0.0, t) - ds.y * t, axis=1)
+        u = _matvecs(ds.X, betas[a : a + rows])
+        u *= flip
+        tail = np.abs(u)
+        np.minimum(tail, 40.0, out=tail)
+        np.negative(tail, out=tail)
+        np.exp(tail, out=tail)
+        np.log1p(tail, out=tail)
+        np.maximum(u, 0.0, out=u)
+        u += tail
+        out[a : a + rows] -= np.sum(u, axis=1)
     return out
 
 
+def _proposal_atoms(posterior: LogitPosterior, z: np.ndarray) -> np.ndarray:
+    # beta* + L z for each row z of standard normals, L L' = (1/2 + h) Sigma
+    return posterior.beta_star + _matvecs(posterior._chol_prop, z)
+
+
 def proposal_sample(posterior: LogitPosterior, stream: RngStream) -> np.ndarray:
-    """Draw from the mode-centered Gaussian proposal N(beta*, (1/2+h) Sigma)."""
-    z = stream.gen.standard_normal(posterior.d)
-    return posterior.beta_star + posterior._chol_prop @ z
+    """Draw from the mode-centered Gaussian proposal N(beta*, (1/2+h) Sigma)
+    on the next d standard normals of ``stream``."""
+    return _proposal_atoms(posterior, stream.gen.standard_normal(posterior.d)[None])[0]
 
 
 def proposal_log_weight(posterior: LogitPosterior, beta: np.ndarray) -> float:
@@ -334,7 +353,10 @@ _PG_PASS = 1 << 15
 
 
 class LogitModel(ModelBundle):
-    """Engine bundle: mode-centered proposal + Gibbs kernel + drift ball."""
+    """Engine bundle: mode-centered proposal + Gibbs kernel + drift ball.
+
+    An atom is beta* + L z for the first d standard normals z of its stream
+    (numpy's ziggurat), so the model declares ``normals_per_atom = d``."""
 
     def __init__(self, posterior: LogitPosterior, r: float):
         if not r > 1.0:
@@ -345,11 +367,12 @@ class LogitModel(ModelBundle):
             posterior.dataset.X, posterior.dataset.y, posterior.Sigma, posterior.h, r
         )
         self.drift = self.constants["drift"]
+        self.normals_per_atom = posterior.d
         self.words_per_step = posterior.d + 1
         posterior.beta_star  # force the mode before any worker forks
 
-    def propose(self, stream: RngStream) -> np.ndarray:
-        return proposal_sample(self.posterior, stream)
+    def atoms(self, draws: np.ndarray) -> np.ndarray:
+        return _proposal_atoms(self.posterior, draws)
 
     def log_weights(self, atoms: np.ndarray) -> np.ndarray:
         return _proposal_log_weights(self.posterior, atoms)

@@ -134,13 +134,14 @@ class TestProposeBlock:
         "d, lo, hi", [(2, 0, 40), (16, 7, 30), (3, 2**64 - 9, 2**64), ("heart", 5, 60)]
     )
     def test_rows_equal_scalar_proposals(self, monkeypatch, d, lo, hi):
-        if d == "heart":  # variable-consumption proposal: the per-atom loop
+        if d == "heart":  # the per-atom draw is d standard normals
             dataset = load_heart_dataset(HEART_PATH)
             model = LogitModel(LogitPosterior(dataset, 10.0 * np.eye(dataset.d)), r=1.001)
+            d = model.normals_per_atom
         else:
             model = ArModel(ArConfig(rho=0.9, d=d, h=0.49, r=1.5))
-            # about 8 rows a chunk: several chunks, a ragged last one
-            monkeypatch.setattr(engine, "_WINDOW_WORDS", 8 * d + 1)
+        # about 8 rows a chunk: several chunks, a ragged last one
+        monkeypatch.setattr(engine, "_WINDOW_WORDS", 8 * d + 1)
         atoms, logw = engine._propose_block(model, 31, (lo, hi))
         assert len(atoms) == hi - lo and logw.shape == (hi - lo,)
         for i in range(lo, hi):

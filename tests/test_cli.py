@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from mscmc.ar import ArConfig, ArModel
 from mscmc.cli import (
     _ar_config,
     _baseline_params,
@@ -19,6 +20,7 @@ from mscmc.cli import (
     load_config,
     main,
 )
+from mscmc.engine import build_initial_distribution
 
 from conftest import HEART_PATH, REPO_ROOT
 
@@ -486,7 +488,11 @@ class TestConfigHandling:
         "dims, what",
         [
             ([1, 5], "ar.h = 1e+306 at plan dimension d = 5: the weight second moment"),
-            ([2], "ar.h = 1e+306 at plan dimension d = 2: w2 = "),
+            (
+                [2],
+                "ar.r = 1.5 (R = 4.0) and plan.eps = 0.1 overflow the planned sizes at plan "
+                "dimension d = 2 (w2 = ",
+            ),
         ],
         ids=["w2", "sizes"],
     )
@@ -499,6 +505,36 @@ class TestConfigHandling:
         )
         assert main(["plan", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: bad plan parameters: " + what)
+
+    def test_plan_sizes_overflow_names_radius_not_h(self, tmp_path, capsys):
+        # at d = 1 the radius R = 1 + 1e308 is finite and w2 is about 1, so
+        # only the planned sizes overflow
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "out"), ar={"r": 1e308})
+        assert main(["plan", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: bad plan parameters: ar.r = 1e+308 (R = 1e+308) and plan.eps = 0.1 "
+            "overflow the planned sizes at plan dimension d = 1"
+        )
+        assert "ar.h" not in err
+
+    @pytest.mark.parametrize(
+        "logit, what",
+        [
+            ({"r": 0.5}, "logit.r = 0.5: r must exceed 1"),
+            ({"h": 0.7}, "logit.h = 0.7: h must lie in (0, 1/2]"),
+        ],
+        ids=["r", "h"],
+    )
+    def test_logit_value_named(self, tmp_path, capsys, logit, what):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            out_dir=str(tmp_path / "out"),
+            logit={"data_path": HEART_PATH, **logit},
+        )
+        assert main(["run-logit", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {what}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, overrides, what",
@@ -674,9 +710,15 @@ class TestOutputHashes:
         )
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
-        assert len(lines) == 4
+        assert len(lines) == 8
         for name in ("estimates.csv", "excursions.csv"):
             digest = hashlib.sha256((tmp_path / "direct" / name).read_bytes()).hexdigest()
+            for workers in (1, 2):
+                assert f"{digest}  {cfg} workers={workers} {name}" in lines
+        # the config's restart stage: N = 2,000 atoms at seed 7, as the run draws them
+        dist = build_initial_distribution(ArModel(ArConfig(0.9, 2, 0.49, 1.5)), 2_000, 7, workers=1)
+        for name, array in (("atoms", dist.atoms), ("weights", dist.norm_weights)):
+            digest = hashlib.sha256(array).hexdigest()
             for workers in (1, 2):
                 assert f"{digest}  {cfg} workers={workers} {name}" in lines
         assert not (tmp_path / "unused").exists()

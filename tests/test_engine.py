@@ -454,6 +454,24 @@ class TestMscEstimate:
                 msc_estimate(model, atoms, 8, [], master_seed=2, workers=2)
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize(
+        "words, normals, match",
+        [
+            (None, None, "exactly one of words_per_atom and normals_per_atom"),
+            (1, 1, "exactly one of words_per_atom and normals_per_atom"),
+            (None, 0, "normals_per_atom must be a positive int"),
+            (None, 1.0, "normals_per_atom must be a positive int"),
+        ],
+        ids=["neither", "both", "normals-0", "normals-1.0"],
+    )
+    def test_one_atom_draw_required(self, words, normals, match):
+        # a proposal declares one per-atom draw, checked before any pool forks
+        model = SingletonModel()
+        model.words_per_atom, model.normals_per_atom = words, normals
+        with pytest.raises(TypeError, match=match):
+            build_initial_distribution(model, 8, master_seed=2, workers=2)
+        assert multiprocessing.active_children() == []
+
     def test_mean_tau_vs_skip_fraction(self):
         model = ArModel(ArConfig(rho=0.9, d=2, h=0.49, r=1.5))
         atoms = build_initial_distribution(model, 2_000, master_seed=6, workers=1)

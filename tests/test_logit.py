@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import bootstrap_stderr
-from mscmc import logit
+from mscmc import engine, logit
 from mscmc.baselines import run_single_chain_gibbs
 from mscmc.bounds import logit_gibbs_constants
 from mscmc.engine import (
@@ -47,6 +47,15 @@ class TestNegLogLik:
         ds = Dataset(X=np.array([[1.0]]), y=np.array([0.0]), column_names=["x"])
         val = neg_log_lik(np.array([5000.0]), ds)
         assert math.isfinite(val) and val == pytest.approx(5000.0, rel=1e-12)
+
+    def test_bits_of_the_logaddexp_form(self, heart_path):
+        # the mode search and both baselines read neg_log_lik, so it keeps
+        # np.logaddexp and its bits (the restart log-weights do not use it)
+        ds = load_heart_dataset(heart_path)
+        gen = derive_stream(35, "nll-bits", 0).gen
+        for beta in (np.zeros(ds.d), *gen.standard_normal((4, ds.d)) * [[0.1], [1], [10], [100]]):
+            t = ds.X @ beta
+            assert neg_log_lik(beta, ds) == float(np.sum(np.logaddexp(0.0, t) - ds.y * t))
 
     def test_gradient_matches_finite_differences(self, heart_path):
         ds = load_heart_dataset(heart_path)
@@ -290,6 +299,42 @@ class TestLogWeights:
         whole = _atoms_from_log_weights(one.atoms, model.log_weights(one.atoms))
         assert np.array_equal(one.norm_weights, whole.norm_weights)
         assert one.ess > 100  # the comparison covers many weights, not one
+
+
+    def test_clipped_softplus_matches_logaddexp(self):
+        # |x . beta| from 0 to 1e3, with both labels, puts the sign-flipped
+        # predictor u = (1 - 2y) x . beta on both sides of +-40, the clip
+        n = 200
+        X = np.column_stack([np.linspace(-1.0, 1.0, n), np.ones(n)])
+        y = (derive_stream(36, "softplus-y", 0).gen.random(n) < 0.5).astype(float)
+        ds = Dataset(X=X, y=y, column_names=["x", "intercept"])
+        post = LogitPosterior(ds, 10.0 * np.eye(2))
+        betas = np.column_stack([np.linspace(0.0, 1e3, 41), np.linspace(-5.0, 5.0, 41)])
+        t = betas @ X.T
+        assert np.abs(t).min() < 1.0 and 990.0 < np.abs(t).max() < 1_010.0
+        assert ((t < -40) & (y == 1)).any() and ((t > 40) & (y == 0)).any()
+        resid = betas - post.beta_star
+        quad = lambda v: np.einsum("ri,ij,rj->r", v, post.Sigma_inv, v)
+        expect = (
+            0.5 * (quad(resid) / (0.5 + post.h) - quad(betas))
+            + post._log_norm_prop
+            - np.sum(np.logaddexp(0.0, t) - y * t, axis=1)
+        )
+        np.testing.assert_allclose(LogitModel(post, r=1.5).log_weights(betas), expect, rtol=1e-12)
+
+
+class TestRestartAtoms:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_atom_i_is_the_proposal_on_its_stream(self, dense_sigma_model, monkeypatch, workers):
+        # chunks of 8 atoms, so the 50 atoms span several chunk boundaries
+        model = dense_sigma_model
+        monkeypatch.setattr(engine, "_WINDOW_WORDS", 8 * model.normals_per_atom + 1)
+        atoms = build_initial_distribution(model, 50, master_seed=37, workers=workers)
+        for i, atom in enumerate(atoms.atoms):
+            assert np.array_equal(atom, proposal_sample(model.posterior, derive_stream(37, "init", i)))
+            assert np.array_equal(atom, model.propose(derive_stream(37, "init", i)))
+        whole = _atoms_from_log_weights(atoms.atoms, model.log_weights(atoms.atoms))
+        assert np.array_equal(atoms.norm_weights, whole.norm_weights)
 
 
 class TestGibbsKernel:
