@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """SHA-256 of each config's outputs and restart stage at 1 and 2 workers.
 
-Usage: python scripts/output_hashes.py [CONFIG ...]
+Usage: python scripts/output_hashes.py [--against FILE] [CONFIG ...]
 
 Runs ``msc run-ar`` or ``msc run-logit`` (chosen by the config's ``model``
 key) from this checkout's ``src`` in the repository root, at 1 and at 2
@@ -16,12 +16,16 @@ inside it is read from the repository root.  With no arguments it runs the
 three shipped run configs.  Exits 1 when the two worker counts give a file
 or a restart array different bytes, or when a run fails.
 
-Run it on two checkouts to compare their outputs byte for byte.
+Run it on two checkouts to compare their outputs byte for byte: save one
+checkout's listing (``> before.txt``) and run the other with ``--against
+before.txt``.  It then also exits 1 when its lines differ from the saved ones,
+and reports on stderr which lines differ or that all of them match.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
@@ -92,11 +96,26 @@ def restart_hashes(config: str) -> dict[int, list[str]]:
     return hashes
 
 
-def main(configs: list[str]) -> int:
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("configs", nargs="*", metavar="CONFIG")
+    parser.add_argument("--against", metavar="FILE", help="a saved listing to compare with")
+    args = parser.parse_args(argv)
+    saved = None
+    if args.against:
+        with open(args.against, encoding="utf-8") as fh:
+            saved = fh.read().splitlines()
+    configs = args.configs
     if not configs:
         os.chdir(ROOT)  # the shipped configs' paths are relative to the root
         configs = DEFAULT_CONFIGS
     status = 0
+    lines = []
+
+    def emit(line: str) -> None:
+        lines.append(line)
+        print(line)
+
     for config in configs:
         for names, by_workers in (
             (OUTPUTS, {w: run_hashes(config, w) for w in (1, 2)}),
@@ -104,10 +123,20 @@ def main(configs: list[str]) -> int:
         ):
             for w, hashes in by_workers.items():
                 for name, digest in zip(names, hashes):
-                    print(f"{digest}  {config} workers={w} {name}")
+                    emit(f"{digest}  {config} workers={w} {name}")
             if by_workers[1] != by_workers[2]:
-                print(f"{config}: {' and '.join(names)} differ between 1 and 2 workers")
+                emit(f"{config}: {' and '.join(names)} differ between 1 and 2 workers")
                 status = 1
+    if saved is not None:
+        diff = list(
+            difflib.unified_diff(saved, lines, args.against, "this checkout", lineterm="", n=0)
+        )
+        for line in diff:
+            print(line, file=sys.stderr)
+        if diff:
+            status = 1
+        else:
+            print(f"all {len(lines)} lines match {args.against}", file=sys.stderr)
     return status
 
 

@@ -10,6 +10,7 @@ addressed by (chain, step).
 """
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 import operator
 import os
@@ -193,47 +194,82 @@ def _install(fn: Callable) -> None:
     _worker_fn = fn
 
 
-def _call_installed(span: tuple[int, int]) -> tuple[np.ndarray, ...]:
-    return _worker_fn(span)
+def _call_installed(span: tuple[int, int]) -> None:
+    _worker_fn(span)
 
 
-def _map_blocks(fn: Callable, total: int, workers: int | None) -> tuple[np.ndarray, ...]:
+def _fill(fn: Callable, outs: tuple[np.ndarray, ...], span: tuple[int, int]) -> None:
+    # run the block function on its block's rows of the stage's outputs
+    lo, hi = span
+    fn(*(out[lo:hi] for out in outs), span)
+
+
+def _output(shape: tuple[int, ...], dtype, shared: bool) -> np.ndarray:
+    # an uninitialised array, in anonymous shared memory when shared, so the
+    # rows a forked worker writes are the parent's rows
+    if not shared:
+        return np.empty(shape, dtype)
+    count = int(np.prod(shape))
+    buf = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))
+    return np.frombuffer(buf, dtype, count).reshape(shape)
+
+
+def _raise_malloc_thresholds() -> None:
+    # glibc's malloc maps every request of 128 KiB or more afresh and trims
+    # the heap top beyond 128 KiB, until the process frees a mapped chunk:
+    # then it raises the first limit to that chunk's size and the second to
+    # twice it.  Freeing one untouched 2 MiB array (no page is faulted in)
+    # lets the passes' temporaries of a few hundred KiB reuse heap pages
+    # instead of faulting in fresh ones on every pass: AR at d = 16 with
+    # N = M = 6e4 on one worker took 2.4k page faults in its two stages
+    # against 36k without it (glibc 2.36, x86-64)
+    np.empty(1 << 18)
+
+
+def _map_blocks(
+    fn: Callable, total: int, workers: int | None, *outputs: tuple
+) -> tuple[np.ndarray, ...]:
     """Run ``fn``, a stage's block function with the stage's inputs bound,
-    over blocks of range(total) and stack its arrays in block order.
+    over blocks of range(total), and return the stage's output arrays.
 
-    At one worker ``fn`` runs here.  A pool always forks, whatever the
-    default start method, and passes ``fn`` to its workers as the
-    initializer's argument, which a fork inherits without pickling (lambda
-    test functions included).  Blocks are copied as they arrive into outputs
-    allocated from the first block's shapes, so no list of blocks is held.
+    ``outputs`` gives each output's (shape, dtype).  The arrays are
+    allocated before any worker forks, and ``fn`` writes a block's rows in
+    place: it is called as ``fn(*rows, (lo, hi))``, ``rows`` being each
+    output's rows lo..hi-1.  At one worker ``fn`` runs here on plain
+    arrays.  At more, the arrays live in anonymous shared memory, so the
+    rows a worker writes are the parent's rows: a worker sends nothing back
+    but an error, and no result is pickled.  The pool always forks,
+    whatever the default start method, both to share that memory and to
+    pass ``fn`` to its workers as the initializer's argument, which a fork
+    inherits without pickling (lambda test functions included).
 
     The pool is closed and joined, never terminated: when a block raises,
-    the other workers may still be writing results, and ``Pool.terminate``
-    can kill one while it holds the result queue's lock, which deadlocks
-    the pool's task handler.  Joining lets the queued blocks drain first.
+    the other workers may still be reporting, and ``Pool.terminate`` can
+    kill one while it holds the result queue's lock, which deadlocks the
+    pool's task handler.  Joining lets the queued blocks drain first.
     Only an interrupt terminates the pool: Ctrl-C reaches the workers too,
     their blocks never report back, and a join would wait for them forever.
     """
     nworkers = min(resolve_workers(workers), total)
+    _raise_malloc_thresholds()
+    outs = tuple(_output(shape, dtype, nworkers > 1) for shape, dtype in outputs)
+    fn = partial(_fill, fn, outs)
     ranges = _block_ranges(total, min(nworkers * 4, total))
-    pool = None
-    if nworkers > 1:
-        pool = multiprocessing.get_context("fork").Pool(nworkers, _install, (fn,))
+    if nworkers == 1:
+        for span in ranges:
+            fn(span)
+        return outs
+    pool = multiprocessing.get_context("fork").Pool(nworkers, _install, (fn,))
     try:
-        parts = pool.imap(_call_installed, ranges) if pool else map(fn, ranges)
-        for (lo, hi), part in zip(ranges, parts):
-            if lo == 0:
-                outs = tuple(np.empty((total, *a.shape[1:]), a.dtype) for a in part)
-            for out, a in zip(outs, part):
-                out[lo:hi] = a
+        # in block order, so a failing run raises its first block's error
+        for _ in pool.imap(_call_installed, ranges):
+            pass
     except KeyboardInterrupt:
-        if pool:
-            pool.terminate()
+        pool.terminate()
         raise
     finally:
-        if pool:
-            pool.close()
-            pool.join()
+        pool.close()
+        pool.join()
     return outs
 
 
@@ -268,19 +304,20 @@ def _atom_draws(model: ModelBundle, master_seed: int, lo: int, n: int) -> np.nda
 
 
 def _propose_block(
-    model: ModelBundle, master_seed: int, span: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    # atoms lo..hi-1 and their log-weights, in chunks of about _WINDOW_WORDS draws
+    model: ModelBundle,
+    master_seed: int,
+    atoms: np.ndarray,
+    logw: np.ndarray,
+    span: tuple[int, int],
+) -> None:
+    # atoms lo..hi-1 and their log-weights into the block's rows atoms and
+    # logw, in chunks of about _WINDOW_WORDS draws
     lo, hi = span
     rows = max(1, _WINDOW_WORDS // (model.words_per_atom or model.normals_per_atom))
-    logw = np.empty(hi - lo)
     for a in range(0, hi - lo, rows):
         x = model.atoms(_atom_draws(model, master_seed, lo + a, min(rows, hi - lo - a)))
-        if a == 0:
-            atoms = np.empty((hi - lo, x.shape[1]))
         atoms[a : a + len(x)] = x
         logw[a : a + len(x)] = model.log_weights(x)
-    return atoms, logw
 
 
 def build_initial_distribution(
@@ -301,19 +338,25 @@ def build_initial_distribution(
     if N < 1:
         raise ValueError("N must be >= 1")
     _check_atom_draw(model)
-    atoms, logw = _map_blocks(partial(_propose_block, model, master_seed), N, workers)
+    # the atom width, from the one-row atoms call that propose makes
+    d = model.atoms(_atom_draws(model, master_seed, 0, 1)).shape[1]
+    atoms, logw = _map_blocks(
+        partial(_propose_block, model, master_seed), N, workers, ((N, d), float), ((N,), float)
+    )
     return _atoms_from_log_weights(atoms, logw)
 
 
 def _atoms_from_log_weights(atoms: np.ndarray, logw: np.ndarray) -> WeightedAtoms:
+    # normalizes logw in place: it becomes the normalized weights
     if np.any(np.isnan(logw)) or np.any(logw == np.inf):
         bad = int(np.flatnonzero(np.isnan(logw) | (logw == np.inf))[0])
         raise WeightError(f"non-finite log-weight at atom {bad}: {logw[bad]!r}")
     shift = float(np.max(logw))
     if shift == -np.inf:
         raise WeightError("all importance weights are zero")
-    w = np.exp(logw - shift)
-    norm = w / float(w.sum())
+    logw -= shift
+    norm = np.exp(logw, out=logw)
+    norm /= float(norm.sum())
     sum_sq = float(np.dot(norm, norm))
     ess = 1.0 / sum_sq
     return WeightedAtoms(
@@ -375,12 +418,15 @@ def _excursion_block(
     functions: Sequence[Callable[[np.ndarray], np.ndarray]],
     cap: int,
     master_seed: int,
+    sums: np.ndarray,
+    taus: np.ndarray,
     span: tuple[int, int],
-) -> tuple[np.ndarray, np.ndarray]:
-    # The chains lo..hi-1, stepped together in rounds.  Word 0 of stream
-    # (CHAIN_LABEL, m) picks the start exactly as CategoricalSampler.sample
-    # does, and step k reads words 1 + (k-1)w .. kw, so every chain retires
-    # with the tau and sums that run_excursion gives it on that stream.
+) -> None:
+    # The chains lo..hi-1, stepped together in rounds, into the block's
+    # rows sums and taus.  Word 0 of stream (CHAIN_LABEL, m) picks the start
+    # exactly as CategoricalSampler.sample does, and step k reads words
+    # 1 + (k-1)w .. kw, so every chain retires with the tau and sums that
+    # run_excursion gives it on that stream.
     # Round 0 picks the starts and takes one step; each later round draws a
     # window of steps for the live chains.  A round runs in stream_words
     # passes of about _WINDOW_WORDS words: many steps for a few stragglers,
@@ -389,8 +435,8 @@ def _excursion_block(
     w = model.words_per_step
     R = model.drift.R
     chains = np.arange(lo, hi, dtype=np.uint64)
-    sums = np.zeros((hi - lo, len(functions)))
-    taus = np.zeros(hi - lo, dtype=np.int64)
+    sums[...] = 0.0
+    taus[...] = 0
 
     def advance(idx, xs, done, steps):
         # steps done+1..done+steps of chains idx from states xs, on one window
@@ -434,7 +480,6 @@ def _excursion_block(
         idx = np.concatenate([i for i, _ in kept])
         xs = np.concatenate([x for _, x in kept])
         done += steps
-    return sums, taus
 
 
 def msc_estimate(
@@ -462,8 +507,9 @@ def msc_estimate(
     if cap < 1:
         raise ValueError("cap must be >= 1")
     sampler = CategoricalSampler(atoms.norm_weights)
-    fn = partial(_excursion_block, model, atoms.atoms, sampler, list(functions), cap, master_seed)
-    sums, taus = _map_blocks(fn, M, workers)
+    functions = list(functions)
+    fn = partial(_excursion_block, model, atoms.atoms, sampler, functions, cap, master_seed)
+    sums, taus = _map_blocks(fn, M, workers, ((M, len(functions)), float), ((M,), np.int64))
     if not taus.any():
         raise WeightError(f"all {M} chains started outside the drift set, so none ran")
 

@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK256 = (1 << 256) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
@@ -414,6 +415,11 @@ _PG_TRUNC = 0.64
 # costs hundreds of numpy calls whatever its size, and after the first try
 # only a few percent of the tilts are left
 _AHEAD_LANES = 1024
+# tilts per run, on average, at or above which a round's first blocks come
+# from numpy's C Philox one run at a time rather than from one vectorised
+# pass: a run costs a state set and a random_raw call, some 7 us at 297 tilts
+# against about 50 us of the vectorised pass (2-core x86 VM)
+_RUN_LANES = 16
 
 
 def _jacobi_coefs(n: int, x: np.ndarray) -> np.ndarray:
@@ -523,8 +529,39 @@ class _CounterRound:
     def __init__(self, source: "CounterDraws", tilts: np.ndarray, outer: int):
         self.key0, self.outer = source.key0, outer
         self.key1, self.row = source.key1[tilts], source.row[tilts]
-        self.first = self._blocks(np.arange(tilts.size), 0, 1)[:, 0]
+        self.first = self._first_blocks()
         self.ahead = None  # (first block, tilts, their blocks)
+
+    def _first_blocks(self) -> np.ndarray:
+        # block 0 of every tilt, as a (tilts, 4) array.  Tilts under one key
+        # whose rows count up by one form a run (a Gibbs step's latents do, in
+        # its first round): their counters (row, r, 0, 0) are consecutive
+        # 256-bit integers, so numpy's C Philox, set one below the run's
+        # first counter, draws the run's blocks in order in one random_raw
+        key1, row, n = self.key1, self.row, self.key1.size
+        # a row that wraps to 0 would carry into the round word: a new run
+        breaks = (key1[1:] != key1[:-1]) | (row[1:] - row[:-1] != 1) | (row[1:] == 0)
+        starts = np.flatnonzero(np.concatenate(([True], breaks)))
+        if starts.size * _RUN_LANES > n:
+            return self._blocks(np.arange(n), 0, 1)[:, 0]
+        out = np.empty((n, 4), dtype=np.uint64)
+        bg = Philox(key=0)
+        spans = zip(starts.tolist(), np.append(starts[1:], n).tolist())
+        for (a, b), k1, r0 in zip(spans, key1[starts].tolist(), row[starts].tolist()):
+            c = (r0 + (self.outer << 64) - 1) & _MASK256  # with the 256-bit borrow
+            bg.state = {
+                "bit_generator": "Philox",
+                "state": {
+                    "counter": tuple(c >> s & _MASK64 for s in (0, 64, 128, 192)),
+                    "key": (self.key0, k1),
+                },
+                "buffer": (0, 0, 0, 0),
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            out[a:b] = bg.random_raw(4 * (b - a)).reshape(b - a, 4)
+        return out
 
     def _blocks(self, sel: np.ndarray, lo: int, count: int) -> np.ndarray:
         # blocks lo..lo+count-1 of the tilts sel, as a (len(sel), count, 4) array

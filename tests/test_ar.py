@@ -142,8 +142,9 @@ class TestProposeBlock:
             model = ArModel(ArConfig(rho=0.9, d=d, h=0.49, r=1.5))
         # about 8 rows a chunk: several chunks, a ragged last one
         monkeypatch.setattr(engine, "_WINDOW_WORDS", 8 * d + 1)
-        atoms, logw = engine._propose_block(model, 31, (lo, hi))
-        assert len(atoms) == hi - lo and logw.shape == (hi - lo,)
+        # the block writes into its own rows of the stage's outputs
+        atoms, logw = np.full((hi - lo, d), np.nan), np.full(hi - lo, np.nan)
+        engine._propose_block(model, 31, atoms, logw, (lo, hi))
         for i in range(lo, hi):
             x = model.propose(derive_stream(31, "init", i))
             assert np.array_equal(atoms[i - lo], x)

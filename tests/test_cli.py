@@ -722,3 +722,26 @@ class TestOutputHashes:
             for workers in (1, 2):
                 assert f"{digest}  {cfg} workers={workers} {name}" in lines
         assert not (tmp_path / "unused").exists()
+
+    def test_against_a_saved_listing(self, tmp_path):
+        # --against exits 1 when any line differs from the saved listing
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "unused"), n_chains=200)
+        script = os.path.join(REPO_ROOT, "scripts", "output_hashes.py")
+
+        def run(*args):
+            cmd = [sys.executable, script, *args, str(cfg)]
+            return subprocess.run(cmd, capture_output=True, text=True)
+
+        listing = run()
+        assert listing.returncode == 0, listing.stderr
+        saved = tmp_path / "saved.txt"
+        saved.write_text(listing.stdout)
+        same = run("--against", str(saved))
+        assert (same.returncode, same.stdout) == (0, listing.stdout)
+        assert "all 8 lines match" in same.stderr
+        lines = listing.stdout.splitlines()
+        lines[3] = "0" * 64 + lines[3][64:]
+        saved.write_text("\n".join(lines) + "\n")
+        moved = run("--against", str(saved))
+        assert moved.returncode == 1
+        assert "-" + lines[3] in moved.stderr.splitlines()

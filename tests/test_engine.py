@@ -1,5 +1,6 @@
 import gc
 import math
+import mmap
 import multiprocessing.pool
 import os
 import pickle
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import weakref
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,6 +32,14 @@ from mscmc.engine import (
 )
 from mscmc.logit import LogitModel
 from mscmc.rng import CategoricalSampler, derive_stream
+
+
+def in_shared_memory(a: np.ndarray) -> bool:
+    """Whether the array's memory is an anonymous mmap, as a stage's outputs
+    are at more than one worker."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return isinstance(a, memoryview) and isinstance(a.obj, mmap.mmap)
 
 
 class TestDriftSpec:
@@ -343,9 +353,11 @@ class TestMscEstimate:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_stage_inputs_freed_with_caller(self, workers):
         # the engine keeps no reference to a stage's inputs once it returns,
-        # so the caller's last reference frees the atom matrix
+        # so the caller's last reference frees the atom matrix, shared
+        # memory at two workers
         model = ArModel(ArConfig(rho=0.9, d=2, h=0.49, r=1.5))
         atoms = build_initial_distribution(model, 2_000, master_seed=5, workers=workers)
+        assert in_shared_memory(atoms.atoms) == (workers > 1)
         result = msc_estimate(
             model, atoms, 400, coordinate_functions(2), master_seed=5, workers=workers
         )
@@ -353,6 +365,51 @@ class TestMscEstimate:
         del atoms, result
         gc.collect()
         assert ref() is None
+
+    @pytest.mark.parametrize("case", ["2-0.9", "16-0.9", "logit"])
+    def test_stage_outputs_identical_across_workers(self, request, case):
+        # Each block writes its own rows of the stage's output arrays: plain
+        # arrays at one worker, shared memory at two and three.  N = 1,001
+        # and M = 301 divide into none of the 4, 8 or 12 blocks, so the
+        # blocks differ in length and their edges move with the worker count
+        model = lockstep_bundle(request, case)
+        counts = (1, 2, 3)
+        restarts = [build_initial_distribution(model, 1_001, 15, workers=w) for w in counts]
+        first = restarts[0]
+        functions = coordinate_functions(first.atoms.shape[1])
+        fn = partial(
+            engine._excursion_block, model, first.atoms, CategoricalSampler(first.norm_weights),
+            functions, engine.DEFAULT_EXCURSION_CAP, 15,
+        )
+        specs = ((301, len(functions)), float), ((301,), np.int64)
+        excursions = [engine._map_blocks(fn, 301, w, *specs) for w in counts]
+        for w, atoms, outs in zip(counts, restarts, excursions):
+            for a in (atoms.atoms, atoms.norm_weights, *outs):
+                assert in_shared_memory(a) == (w > 1)
+        assert first.ess > 1.0 and excursions[0][1].max() > 1
+        for other in restarts[1:]:
+            assert other.atoms.tobytes() == first.atoms.tobytes()
+            assert other.norm_weights.tobytes() == first.norm_weights.tobytes()
+            assert (other.ess, other.w2_hat) == (first.ess, first.w2_hat)
+        for sums, taus in excursions[1:]:
+            assert sums.tobytes() == excursions[0][0].tobytes()
+            assert taus.tobytes() == excursions[0][1].tobytes()
+
+    def test_block_error_reaches_parent(self):
+        # the one restart block that holds the largest first coordinate
+        # raises in its worker, and so in the parent; the pool is drained
+        config = ArConfig(rho=0.9, d=2, h=0.49, r=1.5)
+        top = build_initial_distribution(ArModel(config), 400, 16, workers=1).atoms[:, 0].max()
+
+        class FailingBlock(ArModel):
+            def log_weights(self, atoms):
+                if np.any(atoms[:, 0] == top):
+                    raise FloatingPointError("no weight at the top atom")
+                return super().log_weights(atoms)
+
+        with pytest.raises(FloatingPointError, match="no weight at the top atom"):
+            build_initial_distribution(FailingBlock(config), 400, 16, workers=2)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("case", ["1-0.9", "2-0.9", "16-0.9", "2-0.995", "logit"])
     def test_lockstep_equals_scalar_loop(self, monkeypatch, request, case):

@@ -322,6 +322,26 @@ class TestLogWeights:
         )
         np.testing.assert_allclose(LogitModel(post, r=1.5).log_weights(betas), expect, rtol=1e-12)
 
+    def test_clip_leaves_a_clipped_term_exact(self):
+        # One row at u = (1 - 2y) x . beta = -35, inside the clip, where the
+        # data term is log1p(e^-35), about 6.3e-16, and a small beta keeps
+        # every other term near 1, so an absolute tolerance sees the data
+        # term: a clip at 30 would give log1p(e^-30), 9.4e-14 too much
+        ds = Dataset(X=np.array([[-350.0]]), y=np.array([0.0]), column_names=["x"])
+        post = LogitPosterior(ds, 10.0 * np.eye(1))
+        beta = np.array([0.1])
+        t = float(ds.X[0] @ beta)
+        assert t == pytest.approx(-35.0)
+        resid = beta - post.beta_star
+        quad = lambda v: float(v @ post.Sigma_inv @ v)
+        expect = (
+            0.5 * (quad(resid) / (0.5 + post.h) - quad(beta))
+            + post._log_norm_prop
+            - np.logaddexp(0.0, t)
+        )
+        got = LogitModel(post, r=1.5).log_weights(beta[None])[0]
+        assert abs(got - expect) <= 1e-14
+
 
 class TestRestartAtoms:
     @pytest.mark.parametrize("workers", [1, 2])

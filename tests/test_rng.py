@@ -433,6 +433,32 @@ class TestPolyaGamma:
         assert not np.any(sample_polya_gamma_batch(CounterDraws(8, key1, row), b) == alone)
         assert not np.any(sample_polya_gamma_batch(CounterDraws(7, key1, row + 1), b) == alone)
 
+    def test_counter_runs_match_single_tilts(self, monkeypatch):
+        # Tilts under one key whose rows count up by one, as a Gibbs step's
+        # latents are laid out, take a round's first blocks from numpy's C
+        # Philox a run at a time; a tilt alone takes the vectorised pass.
+        # Runs start at row 0, where the counter borrows from the round word,
+        # and one crosses row 2**64 - 1, where the rows wrap but the counter
+        # would carry, so the run must break there
+        top = 2**64 - 1
+        spans = [(0, 300), (top - 19, top + 1), (0, 20), (0, 297), (10, 70)]
+        row = np.concatenate([np.arange(a, b, dtype=np.uint64) for a, b in spans])
+        key1 = np.repeat(np.array([3, 3, 3, 5, top], dtype=np.uint64), [300, 20, 20, 297, 60])
+        gen = np.random.default_rng(41)
+        b = gen.choice([0.0, 0.3, 1.0, 3.0, 6.0, 40.0, 700.0], row.size)
+        b *= gen.uniform(0.5, 1.5, row.size)
+        source = CounterDraws(7, key1, row)
+        made = []
+        monkeypatch.setattr(rng, "Philox", lambda **kw: made.append(Philox(**kw)) or made[-1])
+        for outer in (0, 1, 3):
+            draw = rng._CounterRound(source, np.arange(row.size), outer)
+            assert np.array_equal(draw.first, draw._blocks(np.arange(row.size), 0, 1)[:, 0])
+        assert len(made) == 3  # every round took the run path
+        batch = sample_polya_gamma_batch(source, b)
+        for t in range(row.size):
+            one = CounterDraws(7, key1[t : t + 1], row[t : t + 1])
+            assert sample_polya_gamma_batch(one, b[t : t + 1])[0] == batch[t]
+
     def test_counter_draws_validation(self):
         with pytest.raises(ValueError):
             CounterDraws(2**64, [0], [0])
