@@ -9,12 +9,13 @@ workers, each into a temporary directory, and prints one line per output
 file: ``<sha256>  <config> workers=<w> <file>``.  It then builds the
 config's restart distribution in-process (``build_initial_distribution`` at
 the config's seed and N) at 1 and at 2 workers and prints the SHA-256 of its
-atoms and of its normalized weights, as ``atoms`` and ``weights`` lines: at
-ess = 1 the output files cannot show whether the atoms moved.  A config
+atoms and of its normalized weights, as ``atoms`` and ``weights`` lines (at
+ess = 1 the output files cannot show whether the atoms moved), and the
+``repr`` of its ``ess`` and ``w2_hat``, which the CSVs round.  A config
 path is read from the current directory; a relative ``logit.data_path``
 inside it is read from the repository root.  With no arguments it runs the
 three shipped run configs.  Exits 1 when the two worker counts give a file
-or a restart array different bytes, or when a run fails.
+or a restart value different bytes, or when a run fails.
 
 Run it on two checkouts to compare their outputs byte for byte: save one
 checkout's listing (``> before.txt``) and run the other with ``--against
@@ -43,7 +44,7 @@ from mscmc.engine import build_initial_distribution  # noqa: E402
 
 DEFAULT_CONFIGS = ["configs/ar_desk.json", "configs/logit_desk.json", "configs/ar_paper_scale.json"]
 OUTPUTS = ("estimates.csv", "excursions.csv")
-RESTART = ("atoms", "weights")
+RESTART = ("atoms", "weights", "ess", "w2_hat")
 COMMANDS = {"ar": "run-ar", "logit": "run-logit"}
 
 
@@ -74,7 +75,8 @@ def run_hashes(config: str, workers: int) -> list[str]:
 
 def restart_hashes(config: str) -> dict[int, list[str]]:
     """The SHA-256 of the restart atoms and normalized weights of ``config``'s
-    run, built in-process at 1 and at 2 workers."""
+    run and the repr of its ess and w2_hat, built in-process at 1 and at 2
+    workers."""
     path = os.path.abspath(config)
     cwd = os.getcwd()
     os.chdir(ROOT)  # where the run reads a relative data path
@@ -93,6 +95,7 @@ def restart_hashes(config: str) -> dict[int, list[str]]:
     for w in (1, 2):
         dist = build_initial_distribution(model, cfg["n_atoms"], cfg["master_seed"], workers=w)
         hashes[w] = [hashlib.sha256(a).hexdigest() for a in (dist.atoms, dist.norm_weights)]
+        hashes[w] += [repr(dist.ess), repr(dist.w2_hat)]
     return hashes
 
 
@@ -124,8 +127,9 @@ def main(argv: list[str]) -> int:
             for w, hashes in by_workers.items():
                 for name, digest in zip(names, hashes):
                     emit(f"{digest}  {config} workers={w} {name}")
-            if by_workers[1] != by_workers[2]:
-                emit(f"{config}: {' and '.join(names)} differ between 1 and 2 workers")
+            moved = [n for n, a, b in zip(names, by_workers[1], by_workers[2]) if a != b]
+            if moved:
+                emit(f"{config}: {' and '.join(moved)} differ between 1 and 2 workers")
                 status = 1
     if saved is not None:
         diff = list(

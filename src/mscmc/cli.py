@@ -16,6 +16,12 @@ import os
 import sys
 import time
 
+# One compute thread per process.  The engine fans out over worker processes
+# and makes no threaded BLAS call, so an OpenBLAS pool would only spin on the
+# cores the workers need.  This must run before numpy loads (``import mscmc``
+# loads no numpy).  A value the caller set wins, and forked workers inherit it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import bounds

@@ -160,13 +160,16 @@ class MscResult:
 
 
 def resolve_workers(workers: int | None) -> int:
-    """Worker count: explicit argument, else $MSC_WORKERS, else cpu count."""
+    """Worker count: explicit argument, else $MSC_WORKERS, else the number of
+    CPUs this process may run on."""
     if workers is not None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         return workers
     env = os.environ.get("MSC_WORKERS")
     if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         workers = int(env)
@@ -357,7 +360,9 @@ def _atoms_from_log_weights(atoms: np.ndarray, logw: np.ndarray) -> WeightedAtom
     logw -= shift
     norm = np.exp(logw, out=logw)
     norm /= float(norm.sum())
-    sum_sq = float(np.dot(norm, norm))
+    # einsum, not np.dot: BLAS may split a long dot product over threads,
+    # which changes its rounding and wakes a thread pool
+    sum_sq = float(np.einsum("i,i->", norm, norm))
     ess = 1.0 / sum_sq
     return WeightedAtoms(
         atoms=atoms,

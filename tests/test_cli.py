@@ -643,6 +643,59 @@ class TestEntryPoint:
         assert "N_required" in proc.stdout
 
 
+LIBRARY_IMPORT_SCRIPT = """
+import os, sys
+
+import mscmc
+
+assert "numpy" not in sys.modules, "import mscmc loaded numpy"
+for name in mscmc.__all__:
+    getattr(mscmc, name)
+assert "OPENBLAS_NUM_THREADS" not in os.environ, "the library changed the environment"
+print("ok")
+"""
+
+CLI_IMPORT_SCRIPT = """
+import os
+
+import mscmc.cli
+
+print(os.environ["OPENBLAS_NUM_THREADS"], len(os.listdir("/proc/self/task")))
+"""
+
+
+class TestImportSideEffects:
+    def run(self, script, **env):
+        child_env = _child_env()
+        child_env.pop("OPENBLAS_NUM_THREADS", None)
+        child_env.update(env)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=child_env
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def test_library_import_loads_no_numpy_and_leaves_env(self):
+        assert self.run(LIBRARY_IMPORT_SCRIPT) == ["ok"]
+
+    def test_public_names_resolve(self):
+        import mscmc
+
+        for name in mscmc.__all__:
+            assert getattr(mscmc, name) is not None
+        with pytest.raises(AttributeError, match="no_such_name"):
+            mscmc.no_such_name
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+    def test_cli_runs_one_blas_thread(self):
+        assert self.run(CLI_IMPORT_SCRIPT) == ["1", "1"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+    def test_callers_blas_setting_kept(self):
+        setting, _ = self.run(CLI_IMPORT_SCRIPT, OPENBLAS_NUM_THREADS="2")
+        assert setting == "2"
+
+
 SCIPY_FREE_SCRIPT = """
 import sys
 
@@ -710,7 +763,7 @@ class TestOutputHashes:
         )
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
-        assert len(lines) == 8
+        assert len(lines) == 12
         for name in ("estimates.csv", "excursions.csv"):
             digest = hashlib.sha256((tmp_path / "direct" / name).read_bytes()).hexdigest()
             for workers in (1, 2):
@@ -721,6 +774,9 @@ class TestOutputHashes:
             digest = hashlib.sha256(array).hexdigest()
             for workers in (1, 2):
                 assert f"{digest}  {cfg} workers={workers} {name}" in lines
+        for name, value in (("ess", dist.ess), ("w2_hat", dist.w2_hat)):
+            for workers in (1, 2):
+                assert f"{value!r}  {cfg} workers={workers} {name}" in lines
         assert not (tmp_path / "unused").exists()
 
     def test_against_a_saved_listing(self, tmp_path):
@@ -738,7 +794,7 @@ class TestOutputHashes:
         saved.write_text(listing.stdout)
         same = run("--against", str(saved))
         assert (same.returncode, same.stdout) == (0, listing.stdout)
-        assert "all 8 lines match" in same.stderr
+        assert "all 12 lines match" in same.stderr
         lines = listing.stdout.splitlines()
         lines[3] = "0" * 64 + lines[3][64:]
         saved.write_text("\n".join(lines) + "\n")

@@ -196,6 +196,55 @@ class TestWeightNormalization:
         assert 1.0 <= atoms.ess <= n * (1 + 1e-12)
         assert atoms.w2_hat == pytest.approx(n / atoms.ess, rel=1e-12)
 
+    def test_ess_independent_of_blas_threads(self):
+        # numpy loads before mscmc, so no pin of the BLAS pool makes the two
+        # children agree: a threaded dot product splits its sum, and changes
+        # the last bits of ess and w2_hat at N = 1e5
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mscmc.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-c", ESS_SCRIPT], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            out.append(proc.stdout)
+        assert out[0] == out[1]
+
+
+ESS_SCRIPT = """
+import numpy as np
+
+from mscmc.ar import ArConfig, ArModel
+from mscmc.engine import build_initial_distribution
+
+model = ArModel(ArConfig(rho=0.9, d=2, h=0.49, r=1.5))
+dist = build_initial_distribution(model, 100_000, master_seed=1, workers=1)
+print(repr(dist.ess), repr(dist.w2_hat))
+"""
+
+
+class TestResolveWorkers:
+    def test_default_counts_cpus_this_process_may_run_on(self, monkeypatch):
+        monkeypatch.delenv("MSC_WORKERS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert engine.resolve_workers(None) == 3
+
+    @pytest.mark.parametrize("cpus, expect", [(6, 6), (None, 1)])
+    def test_default_without_affinity_is_cpu_count(self, monkeypatch, cpus, expect):
+        monkeypatch.delenv("MSC_WORKERS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert engine.resolve_workers(None) == expect
+
+    def test_argument_and_env_win_over_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setenv("MSC_WORKERS", "2")
+        assert engine.resolve_workers(None) == 2
+        assert engine.resolve_workers(4) == 4
+
 
 class TestRunExcursion:
     def test_start_outside_returns_zero_excursion(self):
