@@ -518,6 +518,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _worker_died(err: Exception) -> bool:
+    # only a multi-worker stage imports concurrent.futures, so a broken
+    # executor's class is looked up there rather than imported by every run
+    futures = sys.modules.get("concurrent.futures")
+    return futures is not None and isinstance(err, futures.BrokenExecutor)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -526,11 +533,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, DataFormatError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CapExceededError, WeightError) as err:
+    except (CapExceededError, WeightError, MemoryError) as err:
         print(f"engine error: {err}", file=sys.stderr)
         return EXIT_ENGINE
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as err:
-        print(f"numeric error: {err}", file=sys.stderr)
+        kind = "engine error: a worker process died:" if _worker_died(err) else "numeric error:"
+        print(f"{kind} {err}", file=sys.stderr)
         return EXIT_ENGINE
 
 

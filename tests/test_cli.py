@@ -2,8 +2,11 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -641,6 +644,62 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "N_required" in proc.stdout
+
+
+class TestStageFailures:
+    @pytest.mark.parametrize(
+        "n_atoms, workers", [(10**18, 1), (10**18, 2), (10**14, 1), (10**14, 2), (6 * 10**18, 2)]
+    )
+    def test_unallocatable_stage_is_engine_error(self, tmp_path, capsys, n_atoms, workers):
+        # numpy's size check, malloc, mmap's index type, the kernel and a
+        # byte count past int64 each refuse one of these; every size is past
+        # the 47-bit user address space, so the allocation fails at once
+        # whatever the kernel's overcommit setting
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "out"), n_atoms=n_atoms)
+        assert main(["run-ar", str(cfg), "--workers", str(workers)]) == 1
+        assert capsys.readouterr().err == (
+            f"engine error: cannot allocate a ({n_atoms}, 2) float64 array "
+            f"({16 * n_atoms} bytes)\n"
+        )
+
+    def test_dead_worker_is_engine_error(self, tmp_path, capsys, monkeypatch):
+        def die(*args, **kwargs):
+            raise BrokenProcessPool("a child process terminated abruptly")
+
+        monkeypatch.setattr("mscmc.cli.build_initial_distribution", die)
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "out"))
+        assert main(["run-ar", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "engine error: a worker process died: a child process terminated abruptly\n"
+        )
+
+    def test_interrupt_ends_a_two_worker_run(self, tmp_path):
+        # Ctrl-C reaches the run's whole process group mid-restart (the
+        # restart of 2e7 atoms takes seconds); the run must end at once and
+        # take its workers with it
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "out"), n_atoms=20_000_000)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mscmc.cli", "run-ar", str(cfg), "--workers", "2"],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            env=_child_env(),
+            start_new_session=True,
+        )
+        time.sleep(1)
+        os.killpg(proc.pid, signal.SIGINT)
+        try:
+            proc.wait(timeout=20)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            pytest.fail("the run did not end within 20 s of Ctrl-C")
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        else:
+            pytest.fail("a process of the run outlived it")
+        assert proc.returncode == -signal.SIGINT
 
 
 LIBRARY_IMPORT_SCRIPT = """

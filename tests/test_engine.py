@@ -1,9 +1,10 @@
 import gc
 import math
 import mmap
-import multiprocessing.pool
+import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import textwrap
@@ -372,13 +373,7 @@ class TestMscEstimate:
         assert err.value.chain_index is not None
         assert str(err.value).count("no return") == 1
 
-    def test_cap_error_drains_pool_without_terminate(self, monkeypatch):
-        # Pool.terminate can kill a worker that holds the result queue's lock
-        # and deadlock the pool, so a failing map must close and join instead
-        def refuse(pool):
-            raise AssertionError("pool terminated")
-
-        monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", refuse)
+    def test_cap_error_at_two_workers_leaves_no_children(self):
         model = NeverReturnModel()
         atoms = build_initial_distribution(model, 2, master_seed=2, workers=1)
         with pytest.raises(CapExceededError):
@@ -602,6 +597,32 @@ class TestMscEstimate:
                 assert model.trace == []
 
 
+def run_script(tmp_path, script):
+    # runs script in a child interpreter in its own session, so a stage that
+    # hangs fails the test, not the suite, and its workers die with it
+    path = tmp_path / "script.py"
+    path.write_text(script)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mscmc.__file__)))
+    path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path_var)
+    proc = subprocess.Popen(
+        [sys.executable, str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the script did not finish within 60 s")
+    assert proc.returncode == 0, err
+    return out.strip()
+
+
 START_METHOD_SCRIPT = textwrap.dedent(
     """
     import multiprocessing
@@ -630,17 +651,41 @@ START_METHOD_SCRIPT = textwrap.dedent(
 def test_pool_ignores_default_start_method(tmp_path):
     # the pool must fork even when the interpreter default is forkserver (the
     # Linux default from Python 3.14), or lambda test functions cannot reach
-    # the workers; a hang there must fail this test, not stall the suite
-    script = tmp_path / "start_method.py"
-    script.write_text(START_METHOD_SCRIPT)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(mscmc.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    try:
-        proc = subprocess.run(
-            [sys.executable, str(script)], capture_output=True, text=True, timeout=60, env=env
-        )
-    except subprocess.TimeoutExpired:
-        pytest.fail("workers=2 run did not finish within 60 s under forkserver")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "identical"
+    # the workers
+    assert run_script(tmp_path, START_METHOD_SCRIPT) == "identical"
+
+
+DEAD_WORKER_SCRIPT = textwrap.dedent(
+    """
+    import multiprocessing
+    import os
+    import signal
+    from concurrent.futures.process import BrokenProcessPool
+
+    from mscmc.ar import ArConfig, ArModel
+    from mscmc.engine import build_initial_distribution
+
+    PARENT = os.getpid()
+
+
+    class KilledWorker(ArModel):
+        def log_weights(self, atoms):
+            if os.getpid() != PARENT:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return super().log_weights(atoms)
+
+
+    if __name__ == "__main__":
+        model = KilledWorker(ArConfig(rho=0.9, d=2, h=0.49, r=1.5))
+        try:
+            build_initial_distribution(model, 10_000, 1, workers=2)
+        except BrokenProcessPool:
+            print("broken", len(multiprocessing.active_children()))
+    """
+)
+
+
+def test_dead_worker_raises(tmp_path):
+    # a worker killed mid-block breaks the stage at once, with no worker
+    # left running, instead of leaving the parent waiting for its block
+    assert run_script(tmp_path, DEAD_WORKER_SCRIPT) == "broken 0"
