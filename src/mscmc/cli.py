@@ -183,15 +183,13 @@ def _logit_model(cfg: dict) -> LogitModel:
 
 
 def _ensure_out(cfg: dict) -> str:
+    # make the output directory and echo the config into it
     out = cfg["out_dir"]
     os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _echo_config(cfg: dict, out: str) -> None:
     with open(os.path.join(out, "config.json"), "w", encoding="utf-8") as fh:
         json.dump(cfg, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return out
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -269,7 +267,6 @@ def cmd_plan(cfg: dict) -> int:
         rows.append([d, drift.gamma, drift.K, drift.R, drift.effective_rate, w2, N, M])
     header = ["d", "gamma", "K", "R", "gamma_R", "w2", "N_required", "M_required"]
     out = _ensure_out(cfg)
-    _echo_config(cfg, out)
     path = os.path.join(out, "plan.csv")
     _write_csv(path, header, rows)
     print(",".join(header))
@@ -280,7 +277,6 @@ def cmd_plan(cfg: dict) -> int:
 
 def _run_model(cfg: dict, model, names: list[str]) -> int:
     out = _ensure_out(cfg)
-    _echo_config(cfg, out)
     t0 = time.perf_counter()
     atoms = build_initial_distribution(
         model, cfg["n_atoms"], cfg["master_seed"], workers=cfg["workers"]
@@ -376,7 +372,6 @@ def _baseline_common(cfg: dict, which: str) -> int:
     model = _logit_model(cfg)
     posterior = model.posterior
     out = _ensure_out(cfg)
-    _echo_config(cfg, out)
     t0 = time.perf_counter()
 
     if start_mode == "atoms":

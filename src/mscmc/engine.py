@@ -208,14 +208,12 @@ def _fill(fn: Callable, outs: tuple[np.ndarray, ...], span: tuple[int, int]) -> 
     fn(*(out[lo:hi] for out in outs), span)
 
 
-def _output(shape: tuple[int, ...], dtype, shared: bool) -> np.ndarray:
-    # an uninitialised array, in anonymous shared memory when shared so that a
-    # forked worker writes the parent's rows; a MemoryError if it cannot be allocated
+def _output(shape: tuple[int, ...], dtype) -> np.ndarray:
+    # an uninitialised array in anonymous shared memory, so that a forked
+    # worker writes the parent's rows; a MemoryError if it cannot be allocated
     count, dtype = math.prod(shape), np.dtype(dtype)
     nbytes = count * dtype.itemsize
     try:
-        if not shared:
-            return np.empty(shape, dtype)
         buf = mmap.mmap(-1, max(1, nbytes))
     except (MemoryError, OverflowError, OSError, ValueError) as err:
         raise MemoryError(f"cannot allocate a {shape} {dtype} array ({nbytes} bytes)") from err
@@ -243,13 +241,13 @@ def _map_blocks(
     ``outputs`` gives each output's (shape, dtype).  The arrays are
     allocated before any worker forks, and ``fn`` writes a block's rows in
     place: it is called as ``fn(*rows, (lo, hi))``, ``rows`` being each
-    output's rows lo..hi-1.  At one worker ``fn`` runs here on plain
-    arrays.  At more, the stage fans out on a ``ProcessPoolExecutor``, one
-    contiguous block per worker, and the arrays live in anonymous shared
-    memory: a worker writes the parent's rows and sends back nothing but an
-    error.  The executor forks whatever the default start method, both to
-    share that memory and to hand ``fn`` to its workers, as the
-    initializer's argument, without pickling it (lambdas included).
+    output's rows lo..hi-1.  The arrays live in anonymous shared memory, and
+    at every worker count each worker runs one contiguous block into them.
+    At one worker that worker is this process.  At more, the stage fans out
+    on a ``ProcessPoolExecutor``: a worker writes the parent's rows and
+    sends back nothing but an error.  The executor forks whatever the
+    default start method, both to share that memory and to hand ``fn`` to
+    its workers, as the initializer's argument, without pickling it.
 
     Block errors are raised in block order, and a worker that dies raises
     ``BrokenProcessPool``.  Ctrl-C ends the stage at once: each worker
@@ -257,19 +255,16 @@ def _map_blocks(
     """
     nworkers = min(resolve_workers(workers), total)
     _raise_malloc_thresholds()
-    outs = tuple(_output(shape, dtype, nworkers > 1) for shape, dtype in outputs)
+    outs = tuple(_output(shape, dtype) for shape, dtype in outputs)
     fn = partial(_fill, fn, outs)
+    spans = _block_ranges(total, nworkers)
     if nworkers == 1:
-        # four blocks, not one: running ar-wide's stages as one block raised
-        # its peak RSS from 56.86 to 57.69 MB, in 6 of 6 runs on a 2-core VM
-        # (its wall time fell from 0.506 to 0.497 s)
-        for span in _block_ranges(total, min(4, total)):
-            fn(span)
+        fn(spans[0])
         return outs
     from concurrent.futures import ProcessPoolExecutor
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(nworkers, context, _install, (fn,)) as pool:
-        for _ in pool.map(_call_installed, _block_ranges(total, nworkers)):
+        for _ in pool.map(_call_installed, spans):
             pass
     return outs
 
@@ -430,34 +425,26 @@ def _excursion_block(
     # exactly as CategoricalSampler.sample does, and step k reads words
     # 1 + (k-1)w .. kw, so every chain retires with the tau and sums that
     # run_excursion gives it on that stream.
-    # Round 0 picks the starts and takes one step; each later round draws a
-    # window of steps for the live chains.  A round runs in stream_words
-    # passes of about _WINDOW_WORDS words: many steps for a few stragglers,
-    # or one step for a chunk of rows.
+    # Round 0 creates the chains: it picks their starts and takes one step.
+    # Each later round draws a window of steps for the live chains.  A round
+    # runs in stream_words passes of about _WINDOW_WORDS words: many steps
+    # for a few stragglers, or one step for a chunk of rows.
     lo, hi = span
     w = model.words_per_step
     R = model.drift.R
-    chains = np.arange(lo, hi, dtype=np.uint64)
     sums[...] = 0.0
     taus[...] = 0
 
-    def advance(idx, xs, done, steps):
-        # steps done+1..done+steps of chains idx from states xs, on one window
-        # of their words; at done = 0 the window opens with word 0, which
-        # picks the starts, and only the chains that start inside the set
-        # step (tau = 0 for the rest).  Returns the chains still outside the
-        # set and their states; each pass's arrays die with this frame
-        first = int(done == 0)
-        words = stream_words(
-            master_seed, CHAIN_LABEL, chains[idx], steps * w + first, 1 + done * w - first
-        )
+    def advance(idx, xs, done, steps, words=None):
+        # steps done+1..done+steps of chains idx (rows of the block) from
+        # states xs, on one window of their words, read here unless given.
+        # Returns the chains still outside the set and their states; each
+        # pass's arrays die with this frame
+        if words is None:
+            words = stream_words(master_seed, CHAIN_LABEL, lo + idx, steps * w, 1 + done * w)
         pos = np.arange(idx.size)  # each live chain's row of words
-        if first:
-            xs = atoms[sampler.pick((words[:, 0] >> np.uint64(11)) * 2.0**-53)]
-            pos = np.flatnonzero(model.f_values(xs) <= R)
-            idx, xs = idx[pos], xs[pos]
         for k in range(done + 1, done + steps + 1):
-            c = first + (k - done - 1) * w
+            c = (k - done - 1) * w
             xs = model.kernel_block(xs, words[pos, c : c + w])
             sums[idx] += _values(functions, xs)
             back = model.f_values(xs) <= R
@@ -468,20 +455,31 @@ def _excursion_block(
                     break
         return idx, xs
 
-    idx = np.arange(hi - lo)  # the live chains
-    xs = np.empty((hi - lo, 0))  # their states: none before round 0
-    done = 0  # steps every live chain has taken
-    while idx.size:
+    def start(a, b):
+        # round 0 for chains a..b-1: word 0 picks each start, and only the
+        # chains that start inside the set take step 1 (tau = 0 for the rest)
+        idx = np.arange(a, b)
+        words = stream_words(master_seed, CHAIN_LABEL, lo + idx, 1 + w)
+        xs = atoms[sampler.pick_words(words[:, 0])]
+        live = np.flatnonzero(model.f_values(xs) <= R)
+        return advance(idx[live], xs[live], 0, 1, words[live, 1:])
+
+    rows = max(1, _WINDOW_WORDS // (1 + w))
+    kept = [start(a, min(a + rows, hi - lo)) for a in range(0, hi - lo, rows)]
+    done = 1  # steps every live chain has taken
+    while True:
+        idx = np.concatenate([i for i, _ in kept])  # the live chains
+        xs = np.concatenate([x for _, x in kept])  # their states
+        if not idx.size:
+            return
         if done == cap:
             raise CapExceededError(cap, chain_index=lo + int(idx[0]))
-        steps = min(max(1, _WINDOW_WORDS // (idx.size * w)), cap - done) if done else 1
-        rows = max(1, _WINDOW_WORDS // (steps * w + (done == 0)))
+        steps = min(max(1, _WINDOW_WORDS // (idx.size * w)), cap - done)
+        rows = max(1, _WINDOW_WORDS // (steps * w))
         kept = [
             advance(idx[a : a + rows], xs[a : a + rows], done, steps)
             for a in range(0, idx.size, rows)
         ]
-        idx = np.concatenate([i for i, _ in kept])
-        xs = np.concatenate([x for _, x in kept])
         done += steps
 
 

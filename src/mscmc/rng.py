@@ -97,20 +97,26 @@ class RngStream:
         """
         if not 0 <= index <= _MASK64:
             raise ValueError("index must fit in 64 bits")
-        # one fresh state (plain ints: the setter copies them into the C state)
-        self._bg.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": (self._key0, index)},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        self._bg.state = _philox_state((self._key0, index))
         self.index = int(index)
         return self
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.master_seed}, label={self.label!r}, index={self.index})"
+
+
+def _philox_state(key: tuple[int, int], counter: tuple[int, ...] = (0, 0, 0, 0)) -> dict:
+    # numpy's Philox state at (key, counter) with an empty buffer, so the
+    # next block drawn is the one at counter + 1 (plain ints: the setter
+    # copies them into the C state)
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def derive_stream(master_seed: int, label: str, index: int) -> RngStream:
@@ -361,7 +367,7 @@ def ndtri(u) -> np.ndarray:
 class CategoricalSampler:
     """Inverse-CDF sampler over a fixed probability vector.
 
-    O(N) setup (one cumulative sum); each draw takes one uniform from the
+    O(N) setup (one cumulative sum); each draw takes one raw word from the
     stream and a binary search.  An index of weight zero is never returned.
     """
 
@@ -395,8 +401,15 @@ class CategoricalSampler:
             k = self.cdf.searchsorted(x, side="right")
         return np.minimum(k, self.last)
 
+    def pick_words(self, words) -> np.ndarray:
+        """The index drawn by each raw word in ``words``: ``pick`` of the
+        double that numpy's ``Generator.random()`` makes of the word, its
+        top 53 bits times 2**-53."""
+        return self.pick((np.asarray(words, dtype=np.uint64) >> np.uint64(11)) * 2.0**-53)
+
     def sample(self, stream: RngStream) -> int:
-        return int(self.pick(stream.gen.random()))
+        """The index drawn by the next raw word of ``stream``."""
+        return int(self.pick_words(stream.gen.bit_generator.random_raw()))
 
 
 # ---------------------------------------------------------------------------
@@ -549,17 +562,9 @@ class _CounterRound:
         spans = zip(starts.tolist(), np.append(starts[1:], n).tolist())
         for (a, b), k1, r0 in zip(spans, key1[starts].tolist(), row[starts].tolist()):
             c = (r0 + (self.outer << 64) - 1) & _MASK256  # with the 256-bit borrow
-            bg.state = {
-                "bit_generator": "Philox",
-                "state": {
-                    "counter": tuple(c >> s & _MASK64 for s in (0, 64, 128, 192)),
-                    "key": (self.key0, k1),
-                },
-                "buffer": (0, 0, 0, 0),
-                "buffer_pos": 4,
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+            bg.state = _philox_state(
+                (self.key0, k1), tuple(c >> s & _MASK64 for s in (0, 64, 128, 192))
+            )
             out[a:b] = bg.random_raw(4 * (b - a)).reshape(b - a, 4)
         return out
 

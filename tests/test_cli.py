@@ -23,7 +23,9 @@ from mscmc.cli import (
     load_config,
     main,
 )
+from mscmc.baselines import run_rwm
 from mscmc.engine import build_initial_distribution
+from mscmc.rng import derive_stream
 
 from conftest import HEART_PATH, REPO_ROOT
 
@@ -248,6 +250,31 @@ class TestRunLogit:
         assert main(["baseline-rwm", str(cfg)]) == 0
         assert "acceptance rate" in capsys.readouterr().out
         assert os.path.exists(out / "baseline_rwm.csv")
+
+    def test_baseline_rwm_proposal_start_and_scale_override(self, tmp_path):
+        # "start": "proposal" draws the start from the proposal on the
+        # baseline-start stream, and the override scales the RWM step
+        out, seed = tmp_path / "out", 7
+        logit = {"data_path": HEART_PATH, "standardize": True}
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            model="logit",
+            master_seed=seed,
+            out_dir=str(out),
+            logit=logit,
+            baseline={"steps": 400, "burn_in": 40, "start": "proposal", "rwm_scale_override": 0.5},
+        )
+        assert main(["baseline-rwm", str(cfg)]) == 0
+        model = _logit_model({"logit": logit})
+        start = model.propose(derive_stream(seed, "baseline-start", 0))
+        res = run_rwm(model.posterior, 400, 40, start, seed, scale_override=0.5)
+        names = model.posterior.dataset.column_names
+        want = "coordinate,mean,stderr\n" + "".join(
+            f"{name},{float(m)!r},{float(se)!r}\n" for name, m, se in zip(names, res.mean, res.stderr)
+        )
+        assert (out / "baseline_rwm.csv").read_text() == want
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["acceptance_rate"] == res.acceptance_rate
 
     def test_collapsed_restart_warns(self, tmp_path, capsys):
         # the prior-scale proposal puts almost all weight on one heart atom

@@ -37,7 +37,7 @@ from mscmc.rng import CategoricalSampler, derive_stream
 
 def in_shared_memory(a: np.ndarray) -> bool:
     """Whether the array's memory is an anonymous mmap, as a stage's outputs
-    are at more than one worker."""
+    are at every worker count."""
     while isinstance(a, np.ndarray):
         a = a.base
     return isinstance(a, memoryview) and isinstance(a.obj, mmap.mmap)
@@ -398,10 +398,10 @@ class TestMscEstimate:
     def test_stage_inputs_freed_with_caller(self, workers):
         # the engine keeps no reference to a stage's inputs once it returns,
         # so the caller's last reference frees the atom matrix, shared
-        # memory at two workers
+        # memory at every worker count
         model = ArModel(ArConfig(rho=0.9, d=2, h=0.49, r=1.5))
         atoms = build_initial_distribution(model, 2_000, master_seed=5, workers=workers)
-        assert in_shared_memory(atoms.atoms) == (workers > 1)
+        assert in_shared_memory(atoms.atoms)
         result = msc_estimate(
             model, atoms, 400, coordinate_functions(2), master_seed=5, workers=workers
         )
@@ -412,10 +412,10 @@ class TestMscEstimate:
 
     @pytest.mark.parametrize("case", ["2-0.9", "16-0.9", "logit"])
     def test_stage_outputs_identical_across_workers(self, request, case):
-        # Each block writes its own rows of the stage's output arrays: plain
-        # arrays at one worker, shared memory at two and three.  N = 1,001
-        # and M = 301 divide into none of the 4, 8 or 12 blocks, so the
-        # blocks differ in length and their edges move with the worker count
+        # Each worker's one block writes its own rows of the stage's shared
+        # output arrays.  N = 1,001 and M = 301 divide into neither 2 nor 3
+        # blocks, so the blocks differ in length and their edges move with
+        # the worker count
         model = lockstep_bundle(request, case)
         counts = (1, 2, 3)
         restarts = [build_initial_distribution(model, 1_001, 15, workers=w) for w in counts]
@@ -427,9 +427,9 @@ class TestMscEstimate:
         )
         specs = ((301, len(functions)), float), ((301,), np.int64)
         excursions = [engine._map_blocks(fn, 301, w, *specs) for w in counts]
-        for w, atoms, outs in zip(counts, restarts, excursions):
+        for atoms, outs in zip(restarts, excursions):
             for a in (atoms.atoms, atoms.norm_weights, *outs):
-                assert in_shared_memory(a) == (w > 1)
+                assert in_shared_memory(a)
         assert first.ess > 1.0 and excursions[0][1].max() > 1
         for other in restarts[1:]:
             assert other.atoms.tobytes() == first.atoms.tobytes()
@@ -438,6 +438,21 @@ class TestMscEstimate:
         for sums, taus in excursions[1:]:
             assert sums.tobytes() == excursions[0][0].tobytes()
             assert taus.tobytes() == excursions[0][1].tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_block_per_worker(self, workers):
+        # each worker, this process at one worker, runs one contiguous block:
+        # the block function writes its span into its rows
+        def record(rows, span):
+            rows[:] = span
+
+        (spans,) = engine._map_blocks(record, 1_001, workers, ((1_001, 2), np.int64))
+        blocks = np.unique(spans, axis=0)
+        assert len(blocks) == workers
+        assert blocks[0, 0] == 0 and blocks[-1, 1] == 1_001
+        assert np.array_equal(blocks[1:, 0], blocks[:-1, 1])
+        for lo, hi in blocks:
+            assert (spans[lo:hi] == (lo, hi)).all()
 
     def test_block_error_reaches_parent(self):
         # the one restart block that holds the largest first coordinate

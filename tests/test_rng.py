@@ -1,7 +1,6 @@
 import concurrent.futures
 import hashlib
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -295,10 +294,25 @@ class TestCategorical:
         ],
     )
     def test_zero_weight_never_returned_at_extreme_uniforms(self, weights, u, want):
-        stream = SimpleNamespace(gen=SimpleNamespace(random=lambda: u))
         sampler = CategoricalSampler(np.array(weights))
-        assert sampler.sample(stream) == want
+        assert int(sampler.pick(u)) == want
         assert sampler.pick(np.array([u, u]))[1] == want
+
+    def test_sample_is_pick_of_generator_random(self):
+        # sample reads one raw word through pick_words, which maps it to the
+        # double u that numpy's Generator.random() makes of that one word.
+        # Weights (e, 1 - e), e a multiple of 2**-53, put the cdf's one edge
+        # at exactly e, so the draws at e = u and e = u + 2**-53 pin u
+        for i in range(2_000):
+            u = derive_stream(5, "cat", 10 + i).gen.random()
+            for edge, want in ((u, 1), (u + 2.0**-53, 0)):
+                sampler = CategoricalSampler(np.array([edge, 1.0 - edge]))
+                stream = derive_stream(5, "cat", 10 + i)
+                assert sampler.sample(stream) == int(sampler.pick(u)) == want
+                assert stream.gen.random() == derive_stream(5, "cat", 10 + i).gen.random(2)[1]
+        # the extreme words map to the extreme doubles 0 and 1 - 2**-53
+        edges = CategoricalSampler(np.array([0.0, 0.5, 0.0, 0.5, 0.0]))
+        assert edges.pick_words(np.array([0, 2**64 - 1], dtype=np.uint64)).tolist() == [1, 3]
 
     def test_pick_keeps_drawn_order(self):
         w = derive_stream(5, "cat", 6).gen.random(1_000)
