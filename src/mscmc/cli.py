@@ -26,7 +26,7 @@ import numpy as np
 
 from . import bounds
 from .ar import ArConfig, ArModel
-from .baselines import run_rwm, run_single_chain_gibbs
+from .baselines import run_rwm, rwm_step_factor, run_single_chain_gibbs
 from .engine import (
     DEFAULT_EXCURSION_CAP,
     CapExceededError,
@@ -102,11 +102,6 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
     _validate_numeric(merged, "excursion_cap", int, low=1)
     if merged["workers"] is not None:
         _validate_numeric(merged, "workers", int, low=1)
-    else:
-        try:
-            resolve_workers(None)  # a bad $MSC_WORKERS is an input error
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
     return merged
 
 
@@ -138,13 +133,12 @@ def _validate_numeric(cfg: dict, key: str, kind, low=None, high=None) -> None:
 
 def _ar_config(cfg: dict) -> ArConfig:
     block = cfg.get("ar", {})
+    rho = _number("ar.rho", block.get("rho", 0.9), float)
+    d = _number("ar.d", block.get("d", 2), int)
+    h = _number("ar.h", block.get("h", 0.49), float)
+    r = _number("ar.r", block.get("r", 1.5), float)
     try:
-        return ArConfig(
-            rho=_number("ar.rho", block.get("rho", 0.9), float),
-            d=_number("ar.d", block.get("d", 2), int),
-            h=_number("ar.h", block.get("h", 0.49), float),
-            r=_number("ar.r", block.get("r", 1.5), float),
-        )
+        return ArConfig(rho=rho, d=d, h=h, r=r)
     except ValueError as err:  # ArConfig's messages open with the field's name
         raise ConfigError(f"bad AR parameters: ar.{err}") from None
 
@@ -358,6 +352,10 @@ def _baseline_params(cfg: dict) -> tuple[int, int, str, float | None]:
     override = block.get("rwm_scale_override")
     if override is not None:
         override = _number("baseline.rwm_scale_override", override, float)
+        if override <= 0:
+            raise ConfigError(
+                f"config key 'baseline.rwm_scale_override' must be > 0 (got {override!r})"
+            )
     if burn_in < 0 or steps - burn_in < 4:
         # batch means need at least two batches of two kept steps
         raise ConfigError("baseline needs burn_in >= 0 and steps - burn_in >= 4")
@@ -371,6 +369,15 @@ def _baseline_common(cfg: dict, which: str) -> int:
     steps, burn_in, start_mode, override = _baseline_params(cfg)
     model = _logit_model(cfg)
     posterior = model.posterior
+    if override is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            factor = rwm_step_factor(posterior, override)
+            finite = np.isfinite(factor @ factor.T).all()
+        if not finite:
+            raise ConfigError(
+                f"config key 'baseline.rwm_scale_override' = {override!r} gives a "
+                "random-walk proposal covariance that is not finite"
+            )
     out = _ensure_out(cfg)
     t0 = time.perf_counter()
 

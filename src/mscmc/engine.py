@@ -161,24 +161,15 @@ class MscResult:
 
 
 def resolve_workers(workers: int | None) -> int:
-    """Worker count: explicit argument, else $MSC_WORKERS, else the number of
-    CPUs this process may run on."""
+    """Worker count: the explicit argument (>= 1), else the number of CPUs in
+    this process's affinity mask (os.cpu_count() where there is none)."""
     if workers is not None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         return workers
-    env = os.environ.get("MSC_WORKERS")
-    if not env:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"MSC_WORKERS must be a positive integer (got {env!r})")
-    return workers
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _block_ranges(total: int, blocks: int) -> list[tuple[int, int]]:
@@ -470,6 +461,7 @@ def _excursion_block(
     while True:
         idx = np.concatenate([i for i, _ in kept])  # the live chains
         xs = np.concatenate([x for _, x in kept])  # their states
+        del kept  # held only in idx and xs from here on
         if not idx.size:
             return
         if done == cap:

@@ -227,7 +227,7 @@ def map_estimate(posterior: LogitPosterior, tol: float = 1e-8, max_iter: int = 1
         raise ValueError("tol must be positive")
     ds = posterior.dataset
     beta = np.zeros(ds.d)
-    obj = neg_log_lik(beta, ds) + 0.5 * float(beta @ (posterior.Sigma_inv @ beta))
+    obj = -log_unnorm_posterior(beta, posterior)
     for _ in range(max_iter):
         grad = neg_log_lik_grad(beta, ds) + posterior.Sigma_inv @ beta
         if float(np.linalg.norm(grad)) <= tol:
@@ -241,9 +241,7 @@ def map_estimate(posterior: LogitPosterior, tol: float = 1e-8, max_iter: int = 1
         scale = 1.0
         for _ in range(60):
             cand = beta - scale * step
-            cand_obj = neg_log_lik(cand, ds) + 0.5 * float(
-                cand @ (posterior.Sigma_inv @ cand)
-            )
+            cand_obj = -log_unnorm_posterior(cand, posterior)
             if cand_obj <= obj:
                 break
             scale *= 0.5

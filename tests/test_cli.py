@@ -331,108 +331,97 @@ class TestConfigHandling:
         cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "o"), n_chains=1)
         assert main(["run-ar", str(cfg)]) == 2
 
-    def test_worker_env_override_preserves_results(self, tmp_path, monkeypatch):
+    def test_worker_count_preserves_results(self, tmp_path):
         outs = []
-        for tag, env in (("a", "1"), ("b", "2")):
-            monkeypatch.setenv("MSC_WORKERS", env)
-            out = tmp_path / tag
-            cfg = write_config(tmp_path / f"{tag}.json", out_dir=str(out))
-            assert main(["run-ar", str(cfg)]) == 0
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            cfg = write_config(tmp_path / f"{workers}.json", out_dir=str(out))
+            assert main(["run-ar", str(cfg), "--workers", workers]) == 0
             outs.append((out / "estimates.csv").read_bytes())
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize(
-        "command, overrides, env",
+        "command, overrides",
         [
-            ("run-logit", {"logit": {"data_path": HEART_PATH, "sigma_scale": "abc"}}, None),
-            ("run-logit", {"logit": {"data_path": HEART_PATH, "r": 0.5}}, None),
-            ("plan", {"plan": {"eps": "abc"}}, None),
-            ("plan", {"plan": {"dims": ["x"]}}, None),
-            ("plan", {"plan": {"dims": [0]}}, None),
-            ("plan", {"plan": {"dims": [1.9]}}, None),
-            ("plan", {"plan": {"dims": [True]}}, None),
-            ("run-ar", {"ar": {"d": 2.7}}, None),
-            ("run-ar", {"ar": {"d": True}}, None),
-            ("run-ar", {"ar": {"d": "2"}}, None),
-            (
-                "baseline-gibbs",
-                {"logit": {"data_path": HEART_PATH}, "baseline": {"steps": 400.9}},
-                None,
-            ),
+            ("run-logit", {"logit": {"data_path": HEART_PATH, "sigma_scale": "abc"}}),
+            ("run-logit", {"logit": {"data_path": HEART_PATH, "r": 0.5}}),
+            ("plan", {"plan": {"eps": "abc"}}),
+            ("plan", {"plan": {"dims": ["x"]}}),
+            ("plan", {"plan": {"dims": [0]}}),
+            ("plan", {"plan": {"dims": [1.9]}}),
+            ("plan", {"plan": {"dims": [True]}}),
+            ("run-ar", {"ar": {"d": 2.7}}),
+            ("run-ar", {"ar": {"d": True}}),
+            ("run-ar", {"ar": {"d": "2"}}),
+            ("baseline-gibbs", {"logit": {"data_path": HEART_PATH}, "baseline": {"steps": 400.9}}),
             (
                 "baseline-gibbs",
                 {"logit": {"data_path": HEART_PATH}, "baseline": {"steps": 400, "burn_in": 40.5}},
-                None,
             ),
-            ("plan", {"ar": {"rho": 1.5}}, None),
-            ("run-logit", {"logit": {"data_path": HEART_PATH, "standardize": "no"}}, None),
-            ("run-ar", {"master_seed": 2**64}, None),
-            ("baseline-gibbs", {"logit": {"data_path": HEART_PATH}, "baseline": {"steps": "abc"}}, None),
+            ("plan", {"ar": {"rho": 1.5}}),
+            ("run-logit", {"logit": {"data_path": HEART_PATH, "standardize": "no"}}),
+            ("run-ar", {"master_seed": 2**64}),
+            ("baseline-gibbs", {"logit": {"data_path": HEART_PATH}, "baseline": {"steps": "abc"}}),
             (
                 "baseline-rwm",
                 {"logit": {"data_path": HEART_PATH}, "baseline": {"rwm_scale_override": "abc"}},
-                None,
             ),
-            ("run-ar", {}, "abc"),
-            ("run-ar", {}, "0"),
-            ("plan", {"plan": 5}, None),
-            ("plan", {"ar": 5}, None),
-            ("baseline-gibbs", {"logit": {"data_path": HEART_PATH}, "baseline": 5}, None),
-            (
-                "baseline-gibbs",
-                {"logit": {"data_path": HEART_PATH}, "baseline": {"start": "nope"}},
-                None,
-            ),
-            ("run-ar", {"ar": {"rho": "0.9"}}, None),
-            ("run-ar", {"ar": {"h": True}}, None),
-            ("run-ar", {"ar": {"r": math.inf}}, None),
-            ("run-ar", {"ar": {"h": 1e-320}}, None),
-            ("run-ar", {"ar": {"h": 1e308}}, None),
-            ("plan", {"plan": {"eps": "0.1"}}, None),
-            ("plan", {"plan": {"delta": math.nan}}, None),
-            ("plan", {"ar": {"r": 1e308}}, None),
-            ("plan", {"ar": {"h": 1e-320}}, None),
-            ("plan", {"ar": {"h": 1e308}}, None),
-            ("plan", {"plan": {"eps": 1e-200}}, None),
-            ("run-logit", {"logit": {"data_path": HEART_PATH, "sigma_scale": True}}, None),
-            ("run-logit", {"logit": {"data_path": HEART_PATH, "sigma_scale": math.nan}}, None),
-            ("run-logit", {"logit": {"data_path": HEART_PATH, "h": "0.49"}}, None),
+            ("plan", {"plan": 5}),
+            ("plan", {"ar": 5}),
+            ("baseline-gibbs", {"logit": {"data_path": HEART_PATH}, "baseline": 5}),
+            ("baseline-gibbs", {"logit": {"data_path": HEART_PATH}, "baseline": {"start": "nope"}}),
+            ("run-ar", {"ar": {"rho": "0.9"}}),
+            ("run-ar", {"ar": {"h": True}}),
+            ("run-ar", {"ar": {"r": math.inf}}),
+            ("run-ar", {"ar": {"h": 1e-320}}),
+            ("run-ar", {"ar": {"h": 1e308}}),
+            ("plan", {"plan": {"eps": "0.1"}}),
+            ("plan", {"plan": {"delta": math.nan}}),
+            ("plan", {"ar": {"r": 1e308}}),
+            ("plan", {"ar": {"h": 1e-320}}),
+            ("plan", {"ar": {"h": 1e308}}),
+            ("plan", {"plan": {"eps": 1e-200}}),
+            ("run-logit", {"logit": {"data_path": HEART_PATH, "sigma_scale": True}}),
+            ("run-logit", {"logit": {"data_path": HEART_PATH, "sigma_scale": math.nan}}),
+            ("run-logit", {"logit": {"data_path": HEART_PATH, "h": "0.49"}}),
             (
                 "baseline-rwm",
                 {"logit": {"data_path": HEART_PATH}, "baseline": {"rwm_scale_override": math.inf}},
-                None,
             ),
-            ("run-ar", {"n_chian": 50}, None),
-            ("run-ar", {"ar": {"rh0": 0.5}}, None),
-            ("run-ar", {"plan": {"dim": [2]}}, None),
-            ("plan", {"plan": {"epsilon": 0.1}}, None),
-            ("run-logit", {"logit": {"data_path": HEART_PATH, "sigma": 1.0}}, None),
-            (
-                "baseline-gibbs",
-                {"logit": {"data_path": HEART_PATH}, "baseline": {"step": 400}},
-                None,
-            ),
-            ("plan", {"plan": {"dims": []}}, None),
-            ("run-logit", {"logit": {"data_path": HEART_PATH, "sigma_scale": 1e200}}, None),
-            (
-                "baseline-rwm",
-                {"logit": {"data_path": HEART_PATH, "sigma_scale": 1e200}},
-                None,
-            ),
+            ("run-ar", {"n_chian": 50}),
+            ("run-ar", {"ar": {"rh0": 0.5}}),
+            ("run-ar", {"plan": {"dim": [2]}}),
+            ("plan", {"plan": {"epsilon": 0.1}}),
+            ("run-logit", {"logit": {"data_path": HEART_PATH, "sigma": 1.0}}),
+            ("baseline-gibbs", {"logit": {"data_path": HEART_PATH}, "baseline": {"step": 400}}),
+            ("plan", {"plan": {"dims": []}}),
+            ("run-logit", {"logit": {"data_path": HEART_PATH, "sigma_scale": 1e200}}),
+            ("baseline-rwm", {"logit": {"data_path": HEART_PATH, "sigma_scale": 1e200}}),
             (
                 "baseline-gibbs",
                 {"logit": {"data_path": HEART_PATH}, "baseline": {"steps": 3, "burn_in": 0}},
-                None,
             ),
-            ("run-ar", {"out_dir": 5}, None),
-            ("run-ar", {"out_dir": ["a"]}, None),
-            ("plan", {"ar": {"h": 1e306, "d": 1}}, None),
-            ("plan", {"ar": {"h": 1e306, "d": 1}, "plan": {"dims": [2]}}, None),
-            ("run-ar", {"ar": {"r": 1e308}}, None),
-            ("plan", {"ar": {"r": 1e308, "d": 1}, "plan": {"dims": [5]}}, None),
-            ("run-logit", {"logit": {"data_path": HEART_PATH, "r": 1e308}}, None),
-            ("baseline-gibbs", {"logit": {"data_path": HEART_PATH, "r": 1e308}}, None),
-            ("baseline-rwm", {"logit": {"data_path": HEART_PATH, "r": 1e308}}, None),
+            ("run-ar", {"out_dir": 5}),
+            ("run-ar", {"out_dir": ["a"]}),
+            ("plan", {"ar": {"h": 1e306, "d": 1}}),
+            ("plan", {"ar": {"h": 1e306, "d": 1}, "plan": {"dims": [2]}}),
+            ("run-ar", {"ar": {"r": 1e308}}),
+            ("plan", {"ar": {"r": 1e308, "d": 1}, "plan": {"dims": [5]}}),
+            ("run-logit", {"logit": {"data_path": HEART_PATH, "r": 1e308}}),
+            ("baseline-gibbs", {"logit": {"data_path": HEART_PATH, "r": 1e308}}),
+            ("baseline-rwm", {"logit": {"data_path": HEART_PATH, "r": 1e308}}),
+            (
+                "baseline-rwm",
+                {"logit": {"data_path": HEART_PATH}, "baseline": {"rwm_scale_override": 0}},
+            ),
+            (
+                "baseline-rwm",
+                {"logit": {"data_path": HEART_PATH}, "baseline": {"rwm_scale_override": -1}},
+            ),
+            (
+                "baseline-rwm",
+                {"logit": {"data_path": HEART_PATH}, "baseline": {"rwm_scale_override": 1e308}},
+            ),
         ],
         ids=[
             "logit-sigma-scale",
@@ -452,8 +441,6 @@ class TestConfigHandling:
             "seed-above-64-bits",
             "baseline-steps",
             "baseline-rwm-scale",
-            "msc-workers-text",
-            "msc-workers-zero",
             "plan-not-object",
             "plan-ar-not-object",
             "baseline-not-object",
@@ -492,18 +479,40 @@ class TestConfigHandling:
             "logit-r-radius-overflow",
             "baseline-gibbs-r-radius-overflow",
             "baseline-rwm-r-radius-overflow",
+            "baseline-rwm-scale-zero",
+            "baseline-rwm-scale-negative",
+            "baseline-rwm-scale-overflow",
         ],
     )
-    def test_bad_value_exit_2(self, tmp_path, capsys, monkeypatch, command, overrides, env):
-        if env is None:
-            monkeypatch.delenv("MSC_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("MSC_WORKERS", env)
+    def test_bad_value_exit_2(self, tmp_path, capsys, command, overrides):
         cfg = write_config(tmp_path / "cfg.json", **{"out_dir": str(tmp_path / "out"), **overrides})
         assert main([command, str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+
+    @pytest.mark.parametrize("value", [0, -1, 1e308])
+    def test_rwm_scale_override_named(self, tmp_path, capsys, value):
+        # rejected before any step, so no overflow warning reaches stderr
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            out_dir=str(tmp_path / "out"),
+            logit={"data_path": HEART_PATH},
+            baseline={"rwm_scale_override": value},
+        )
+        assert main(["baseline-rwm", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key 'baseline.rwm_scale_override'")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["run-ar", "plan"])
+    @pytest.mark.parametrize("key, value", [("rho", "x"), ("d", True)])
+    def test_ar_type_error_names_key(self, tmp_path, capsys, command, key, value):
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "out"), ar={key: value})
+        assert main([command, str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config key 'ar.{key}' must be a number (got {value!r})\n"
+        )
 
     @pytest.mark.parametrize("command", ["run-ar", "plan"])
     def test_ar_h_draw_overflow_named(self, tmp_path, capsys, command):
@@ -628,7 +637,6 @@ class TestConfigHandling:
     def test_shipped_config_validates(self, name, monkeypatch):
         # data paths in the shipped files are relative to the checkout root
         monkeypatch.chdir(REPO_ROOT)
-        monkeypatch.delenv("MSC_WORKERS", raising=False)
         path = os.path.join("configs", name)
         cfg = load_config(path, build_parser().parse_args(["plan", path]))
         if cfg["model"] == "logit":  # run-logit and both baselines

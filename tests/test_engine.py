@@ -228,23 +228,27 @@ print(repr(dist.ess), repr(dist.w2_hat))
 
 class TestResolveWorkers:
     def test_default_counts_cpus_this_process_may_run_on(self, monkeypatch):
-        monkeypatch.delenv("MSC_WORKERS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert engine.resolve_workers(None) == 3
 
     @pytest.mark.parametrize("cpus, expect", [(6, 6), (None, 1)])
     def test_default_without_affinity_is_cpu_count(self, monkeypatch, cpus, expect):
-        monkeypatch.delenv("MSC_WORKERS", raising=False)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert engine.resolve_workers(None) == expect
 
-    def test_argument_and_env_win_over_affinity(self, monkeypatch):
+    def test_argument_wins_over_affinity(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-        monkeypatch.setenv("MSC_WORKERS", "2")
-        assert engine.resolve_workers(None) == 2
         assert engine.resolve_workers(4) == 4
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            engine.resolve_workers(0)
+
+    def test_environment_is_not_read(self, monkeypatch):
+        # the count comes from the caller or the affinity mask, never the environment
+        monkeypatch.setenv("MSC_WORKERS", "3")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        assert engine.resolve_workers(None) == 2
 
 
 class TestRunExcursion:
