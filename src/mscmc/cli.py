@@ -45,6 +45,9 @@ EXIT_OK = 0
 EXIT_ENGINE = 1
 EXIT_CONFIG = 2
 
+# the most worker processes a run may ask for: a stage forks one per block
+MAX_WORKERS = 256
+
 
 class ConfigError(ValueError):
     """The run configuration is malformed."""
@@ -101,7 +104,7 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
     _validate_numeric(merged, "n_chains", int, low=2)
     _validate_numeric(merged, "excursion_cap", int, low=1)
     if merged["workers"] is not None:
-        _validate_numeric(merged, "workers", int, low=1)
+        _validate_numeric(merged, "workers", int, low=1, high=MAX_WORKERS)
     return merged
 
 
@@ -232,6 +235,25 @@ def _plan_params(cfg: dict) -> tuple[float, float, list[int]]:
     return eps, delta, dims
 
 
+def _sizes_overflow(
+    ar: ArConfig, eps: float, delta: float, d: int, R: float, w2: float
+) -> ConfigError:
+    # over the budget delta eps^2, N grows as w2 R^2 and M as R: name the
+    # input whose factor is largest on a log scale
+    budget = delta * eps**2
+    factors = {
+        ("plan.delta", delta, f"the budget delta eps^2 = {budget!r}"): -math.log(delta),
+        ("plan.eps", eps, f"the budget delta eps^2 = {budget!r}"): -2.0 * math.log(eps),
+        ("ar.h", ar.h, f"w2 = {w2!r}"): math.log(w2),
+        ("ar.r", ar.r, f"R = {R!r}"): 2.0 * math.log(R),
+    }
+    key, val, what = max(factors, key=factors.get)
+    return ConfigError(
+        f"bad plan parameters: {key} = {val!r} ({what}) overflows the planned sizes "
+        f"at plan dimension d = {d}"
+    )
+
+
 def cmd_plan(cfg: dict) -> int:
     ar = _ar_config(cfg)
     eps, delta, dims = _plan_params(cfg)
@@ -247,10 +269,7 @@ def cmd_plan(cfg: dict) -> int:
                     f"bad plan parameters: ar.h = {ar.h!r} at plan dimension d = {d}: "
                     "the weight second moment w2 = t^d overflows"
                 ) from None
-            raise ConfigError(
-                f"bad plan parameters: ar.r = {ar.r!r} (R = {drift.R!r}) and plan.eps = "
-                f"{eps!r} overflow the planned sizes at plan dimension d = {d} (w2 = {w2!r})"
-            ) from None
+            raise _sizes_overflow(ar, eps, delta, d, drift.R, w2) from None
         except ValueError as err:  # ArConfig and _plan_params checked all but R
             raise ConfigError(
                 f"bad plan parameters: ar.r = {ar.r!r} gives the drift radius R = 1 + r d "
@@ -331,8 +350,11 @@ def cmd_run_ar(cfg: dict) -> int:
             f"bad AR parameters: ar.r = {config.r!r} gives the drift radius R = 1 + r d "
             f"at d = {config.d}: {err}"
         ) from None
-    except ArithmeticError as err:
-        raise ConfigError(f"bad AR parameters: {err}") from None
+    except ArithmeticError:  # the weight second moment w2 = t^d, t >= 1
+        raise ConfigError(
+            f"bad AR parameters: ar.h = {config.h!r} at d = {config.d}: "
+            "the weight second moment w2 = t^d overflows"
+        ) from None
     names = [f"x{j}" for j in range(config.d)]
     return _run_model(cfg, model, names)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import mmap
-import multiprocessing
 import operator
 import os
 from abc import ABC, abstractmethod
@@ -252,7 +251,10 @@ def _map_blocks(
     if nworkers == 1:
         fn(spans[0])
         return outs
+    # the pool's modules load only for a stage that forks
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(nworkers, context, _install, (fn,)) as pool:
         for _ in pool.map(_call_installed, spans):

@@ -31,7 +31,11 @@ import math
 from functools import partial
 
 import numpy as np
-from numpy.random import Generator, Philox
+
+# numpy.random (some 6 MB of compiled modules once resident) is imported by
+# the two callers that build its objects, RngStream and a counter round's
+# first blocks, not here: the AR commands read every word with stream_words
+# and never load it
 
 __all__ = [
     "RngStream",
@@ -86,6 +90,8 @@ class RngStream:
         self.label = label
         self.index = int(index)
         self._key0 = self.master_seed ^ fnv1a64(label)
+        from numpy.random import Generator, Philox
+
         self._bg = Philox(key=np.array([self._key0, self.index], dtype=np.uint64))
         self.gen = Generator(self._bg)
 
@@ -325,13 +331,13 @@ def _ndtri_floats(u: list) -> list:
 
 
 def _ndtri_block(u: np.ndarray, out: np.ndarray) -> None:
-    # ndtri of a vector into out, each region under a mask
+    # ndtri of a vector into out: the central rational on every value (some
+    # 85% of open_uniform values need it, and its denominator stays above
+    # 0.002 on the others), then the tail values overwritten under a mask
     q = u - 0.5
     a = np.abs(q)
-    central = a <= 0.425
-    ac = a[central]
-    out[central] = ac * _ppnd(_PPND_CENTRAL, 0.180625 - ac * ac)
-    tail = ~central
+    np.multiply(a, _ppnd(_PPND_CENTRAL, 0.180625 - a * a), out=out)
+    tail = a > 0.425
     r = np.sqrt(-np.log(0.5 - a[tail]))
     far = r > 5.0
     if far.any():
@@ -384,8 +390,9 @@ class CategoricalSampler:
             raise ValueError(f"weights must sum to 1 (got {total!r})")
         self.cdf = np.cumsum(w)
         # pick() clamps to this: were u * total ever to round up to the
-        # total, searchsorted would return w.size
-        self.last = int(np.flatnonzero(w)[-1])
+        # total, searchsorted would return w.size.  A byte mask finds it, not
+        # an index array of every nonzero weight (8 bytes each)
+        self.last = w.size - 1 - int(np.argmax(w[::-1] != 0))
 
     def pick(self, u: np.ndarray) -> np.ndarray:
         """The index drawn by each uniform in ``u`` (values in [0, 1))."""
@@ -483,8 +490,9 @@ def _log_ndtr(x: np.ndarray) -> np.ndarray:
         yf = y[far]
         s = 1.0 / (yf * yf)
         r[far] = (1.0 / math.sqrt(math.pi) - s * _ppnd(_ERFC_FAR, s)) / yf
-    lower = np.log(0.5 * r) - 0.5 * x * x
-    out = np.where(x < 0.0, lower, np.log1p(-np.exp(lower)))
+    out = np.log(0.5 * r) - 0.5 * x * x  # log Phi(-|x|)
+    upper = x >= 0.0
+    out[upper] = np.log1p(-np.exp(out[upper]))
     mid = y <= 0.46875
     if mid.any():
         t = x[mid] * math.sqrt(0.5)
@@ -557,6 +565,8 @@ class _CounterRound:
         starts = np.flatnonzero(np.concatenate(([True], breaks)))
         if starts.size * _RUN_LANES > n:
             return self._blocks(np.arange(n), 0, 1)[:, 0]
+        from numpy.random import Philox
+
         out = np.empty((n, 4), dtype=np.uint64)
         bg = Philox(key=0)
         spans = zip(starts.tolist(), np.append(starts[1:], n).tolist())

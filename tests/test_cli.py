@@ -529,8 +529,8 @@ class TestConfigHandling:
             ([1, 5], "ar.h = 1e+306 at plan dimension d = 5: the weight second moment"),
             (
                 [2],
-                "ar.r = 1.5 (R = 4.0) and plan.eps = 0.1 overflow the planned sizes at plan "
-                "dimension d = 2 (w2 = ",
+                "ar.h = 1e+306 (w2 = 4.999999999999999e+305) overflows the planned sizes at "
+                "plan dimension d = 2",
             ),
         ],
         ids=["w2", "sizes"],
@@ -552,10 +552,52 @@ class TestConfigHandling:
         assert main(["plan", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(
-            "error: bad plan parameters: ar.r = 1e+308 (R = 1e+308) and plan.eps = 0.1 "
-            "overflow the planned sizes at plan dimension d = 1"
+            "error: bad plan parameters: ar.r = 1e+308 (R = 1e+308) overflows the planned "
+            "sizes at plan dimension d = 1"
         )
         assert "ar.h" not in err
+
+    def test_plan_sizes_overflow_names_delta(self, tmp_path, capsys):
+        # delta eps^2 = 1e-322 is not zero, but the sizes 1 / (delta eps^2)
+        # leave float range; R = 4 and w2 = 1.0001 are not at fault
+        cfg = write_config(
+            tmp_path / "cfg.json", out_dir=str(tmp_path / "out"), plan={"delta": 1e-320}
+        )
+        assert main(["plan", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad plan parameters: plan.delta = 1e-320 (the budget delta eps^2 = "
+            "1e-322) overflows the planned sizes at plan dimension d = 1\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_ar_h_w2_overflow_named(self, tmp_path, capsys):
+        # a tiny h makes the proposal tilt t about 1 / (2 sqrt(2h)), so t^d
+        # leaves float range at d = 2
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "out"), ar={"h": 1e-320})
+        assert main(["run-ar", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad AR parameters: ar.h = 1e-320 at d = 2: "
+            "the weight second moment w2 = t^d overflows\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, flag",
+        [({"workers": 1e308}, []), ({"workers": 257}, []), ({}, ["--workers", "257"])],
+        ids=["config-1e308", "config-257", "flag-257"],
+    )
+    def test_worker_ceiling(self, tmp_path, capsys, monkeypatch, overrides, flag):
+        # rejected while the config loads: no stage runs, so no process starts
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr("mscmc.cli.build_initial_distribution", no_stage)
+        cfg = write_config(
+            tmp_path / "cfg.json", out_dir=str(tmp_path / "out"), n_atoms=300, **overrides
+        )
+        assert main(["run-ar", str(cfg), *flag]) == 2
+        assert capsys.readouterr().err == "error: config key 'workers' must be <= 256\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "logit, what",
@@ -842,6 +884,73 @@ class TestScipyFree:
         )
         assert proc.returncode == 0, proc.stderr
         assert os.path.exists(tmp_path / "ar" / "estimates.csv")
+        for name in ("estimates.csv", "baseline_gibbs.csv", "baseline_rwm.csv"):
+            assert os.path.exists(tmp_path / "logit" / name)
+
+
+IMPORT_SET_SCRIPT = """
+import sys
+
+import mscmc.cli
+from mscmc import engine
+from mscmc.cli import main
+
+POOL = ("multiprocessing", "concurrent.futures")
+
+
+def loaded(names):
+    return [m for m in names if m in sys.modules]
+
+
+def check(after, absent):
+    assert not loaded(absent), f"{after} loaded {loaded(absent)}"
+
+
+# numpy.random loads at a logit command's first stream, in this process: a
+# forked worker inherits it rather than importing it again
+stages = []
+map_blocks = engine._map_blocks
+engine._map_blocks = lambda *a: stages.append("numpy.random" in sys.modules) or map_blocks(*a)
+
+check("import mscmc.cli", ["numpy.random", *POOL])
+for command, workers in (("plan", "1"), ("run-ar", "1")):
+    assert main([command, sys.argv[1], "--workers", workers]) == 0, command
+    check(command, ["numpy.random", *POOL])
+assert main(["run-ar", sys.argv[1], "--workers", "2"]) == 0
+assert loaded(POOL) == list(POOL), loaded(POOL)
+check("run-ar --workers 2", ["numpy.random"])
+stages.clear()
+for command in ("run-logit", "baseline-gibbs", "baseline-rwm", "pg-selftest"):
+    assert main([command, sys.argv[2], "--workers", "2"]) == 0, command
+assert stages and all(stages), stages
+"""
+
+
+class TestImportSet:
+    def test_ar_commands_load_no_rng_or_pool_modules(self, tmp_path):
+        ar_cfg = write_config(
+            tmp_path / "ar.json",
+            out_dir=str(tmp_path / "ar"),
+            n_atoms=500,
+            n_chains=50,
+            plan={"eps": 0.1, "delta": 0.1, "dims": [1, 2]},
+        )
+        logit_cfg = write_config(
+            tmp_path / "logit.json",
+            model="logit",
+            out_dir=str(tmp_path / "logit"),
+            n_atoms=200,
+            n_chains=10,
+            logit={"data_path": HEART_PATH, "sigma_scale": 10.0, "h": 0.49, "r": 1.001},
+            baseline={"steps": 200, "burn_in": 20, "start": "atoms"},
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_SET_SCRIPT, str(ar_cfg), str(logit_cfg)],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
         for name in ("estimates.csv", "baseline_gibbs.csv", "baseline_rwm.csv"):
             assert os.path.exists(tmp_path / "logit" / name)
 

@@ -180,6 +180,31 @@ class TestNdtri:
         ulps = np.abs(ndtri(uniforms) - want) / np.spacing(np.abs(want))
         assert ulps.max() <= 8.0
 
+    def test_bytes_pinned(self):
+        # two array passes of open_uniform values, the extreme words, and the
+        # floats at and beside the region edges |u - 1/2| = 0.425 and
+        # 1/2 - |u - 1/2| = e^-25 (r = 5); the digest was taken when ndtri
+        # still evaluated the central region on its values alone
+        words = stream_words(29, "ndtri-pin", np.arange(16_384), 4).ravel()
+        extremes = np.array([0, 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64)
+        edges = np.array([0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0)])
+        u = np.concatenate(
+            [
+                open_uniform(words),
+                open_uniform(extremes),
+                np.nextafter(edges, 0.0),
+                edges,
+                np.nextafter(edges, 1.0),
+                [0.5],
+            ]
+        )
+        with np.errstate(all="raise"):
+            z = ndtri(u)
+        assert (
+            hashlib.sha256(z.tobytes()).hexdigest()
+            == "ca03a8c1bf4b85aa712a56f3bd0ecc5ddb0c78886913016a6bc1e80cd63fa0e5"
+        )
+
     def test_exact_antisymmetry(self, uniforms):
         assert np.array_equal(ndtri(1.0 - uniforms), -ndtri(uniforms))
 
@@ -297,6 +322,19 @@ class TestCategorical:
         sampler = CategoricalSampler(np.array(weights))
         assert int(sampler.pick(u)) == want
         assert sampler.pick(np.array([u, u]))[1] == want
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [0.25, 0.75, 0.0, 0.0],  # trailing zeros
+            [0.0, 0.0, 1.0, 0.0],  # a single atom between zeros
+            [1.0],  # a single atom alone
+            [0.1, 0.2, 0.3, 0.4],  # every weight nonzero
+        ],
+    )
+    def test_last_is_the_last_nonzero_index(self, weights):
+        w = np.array(weights)
+        assert CategoricalSampler(w).last == int(np.flatnonzero(w)[-1])
 
     def test_sample_is_pick_of_generator_random(self):
         # sample reads one raw word through pick_words, which maps it to the
@@ -463,7 +501,8 @@ class TestPolyaGamma:
         b *= gen.uniform(0.5, 1.5, row.size)
         source = CounterDraws(7, key1, row)
         made = []
-        monkeypatch.setattr(rng, "Philox", lambda **kw: made.append(Philox(**kw)) or made[-1])
+        # _first_blocks imports Philox from numpy.random when it runs
+        monkeypatch.setattr(np.random, "Philox", lambda **kw: made.append(Philox(**kw)) or made[-1])
         for outer in (0, 1, 3):
             draw = rng._CounterRound(source, np.arange(row.size), outer)
             assert np.array_equal(draw.first, draw._blocks(np.arange(row.size), 0, 1)[:, 0])
