@@ -53,22 +53,47 @@ class ConfigError(ValueError):
     """The run configuration is malformed."""
 
 
-DEFAULTS = {
-    "master_seed": 1,
-    "n_atoms": 100_000,
-    "n_chains": 10_000,
-    "excursion_cap": DEFAULT_EXCURSION_CAP,
-    "workers": None,
-    "out_dir": "msc-out",
-}
+# numpy's largest array dimension: the ceiling of every count
+MAX_COUNT = 2**63 - 1
 
-# the keys each config block accepts; "model" is informational and not read
-_BLOCK_KEYS = {
-    "ar": {"rho", "d", "h", "r"},
-    "logit": {"data_path", "sigma_scale", "h", "r", "standardize"},
-    "plan": {"eps", "delta", "dims"},
-    "baseline": {"steps", "burn_in", "start", "rwm_scale_override"},
+
+class _Key:
+    # a config key's default, its kind (a type, [type] for a list, or a tuple of
+    # the allowed values) and the range the CLI owns: closed for an int, open for a float
+    def __init__(self, default, kind, low=None, high=None):
+        self.default, self.kind, self.low, self.high = default, kind, low, high
+
+
+# Every config key, top-level and in its block.  A null default means "not
+# given".  The models check their own domains (rho, d, h and r in ArConfig, h
+# in LogitPosterior, r in LogitModel), so no range here repeats them.
+KEYS = {
+    "model": _Key(None, ("ar", "logit")),  # informational: no command reads it
+    "master_seed": _Key(1, int, 0, 2**64 - 1),
+    "n_atoms": _Key(100_000, int, 1, MAX_COUNT),
+    "n_chains": _Key(10_000, int, 2, MAX_COUNT),
+    "excursion_cap": _Key(DEFAULT_EXCURSION_CAP, int, 1),
+    "workers": _Key(None, int, 1, MAX_WORKERS),  # null: the CPUs of the affinity mask
+    "out_dir": _Key("msc-out", str),
+    "ar.rho": _Key(0.9, float),
+    "ar.d": _Key(2, int, high=MAX_COUNT),
+    "ar.h": _Key(0.49, float),
+    "ar.r": _Key(1.5, float),
+    "logit.data_path": _Key(None, str),  # open() would read an int as a descriptor
+    "logit.sigma_scale": _Key(10.0, float, 0),
+    "logit.h": _Key(0.49, float),
+    "logit.r": _Key(1.001, float),
+    "logit.standardize": _Key(False, bool),
+    "plan.eps": _Key(0.1, float, 0, 1),
+    "plan.delta": _Key(0.1, float, 0, 1),
+    "plan.dims": _Key([1, 5, 10, 15, 20, 25, 30], [int], 1, MAX_COUNT),
+    "baseline.steps": _Key(100_000, int, 1, MAX_COUNT),
+    "baseline.burn_in": _Key(None, int, 0),  # null: steps // 10
+    "baseline.start": _Key("atoms", ("atoms", "proposal")),
+    "baseline.rwm_scale_override": _Key(None, float, 0),  # null: the 2.38^2 / d rule
 }
+_TOP = [name for name in KEYS if "." not in name]
+_BLOCKS = list(dict.fromkeys(name.split(".")[0] for name in KEYS if "." in name))
 
 
 def load_config(path: str, overrides: argparse.Namespace) -> dict:
@@ -81,30 +106,15 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {err}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    # every command accepts the same keys, so one file can serve several
-    _check_keys(cfg, {*DEFAULTS, "model", *_BLOCK_KEYS})
-    for key, known in _BLOCK_KEYS.items():
-        block = cfg.get(key, {})
-        if not isinstance(block, dict):
-            raise ConfigError(f"config key {key!r} must be an object")
-        _check_keys(block, known, prefix=f"{key}.")
-    merged = {**DEFAULTS, **cfg}
-    if overrides.seed is not None:
-        merged["master_seed"] = overrides.seed
-    if overrides.workers is not None:
-        merged["workers"] = overrides.workers
-    if overrides.out is not None:
-        merged["out_dir"] = overrides.out
-    if not isinstance(merged["out_dir"], str) or not merged["out_dir"]:
-        raise ConfigError(
-            f"config key 'out_dir' must be a non-empty string (got {merged['out_dir']!r})"
-        )
-    _validate_numeric(merged, "master_seed", int, low=0, high=2**64 - 1)
-    _validate_numeric(merged, "n_atoms", int, low=1)
-    _validate_numeric(merged, "n_chains", int, low=2)
-    _validate_numeric(merged, "excursion_cap", int, low=1)
-    if merged["workers"] is not None:
-        _validate_numeric(merged, "workers", int, low=1, high=MAX_WORKERS)
+    _check_keys(cfg, {*_TOP, *_BLOCKS})
+    # the echo holds every top-level default but the unread model's
+    merged = {**{name: KEYS[name].default for name in _TOP if name != "model"}, **cfg}
+    flags = {"master_seed": overrides.seed, "workers": overrides.workers, "out_dir": overrides.out}
+    merged.update((name, val) for name, val in flags.items() if val is not None)
+    merged = {name: _checked(name, val) if name in KEYS else val for name, val in merged.items()}
+    # every command checks every block, so one file can serve several
+    for block in _BLOCKS:
+        _block(merged, block)
     return merged
 
 
@@ -115,55 +125,65 @@ def _check_keys(obj: dict, known: set, prefix: str = "") -> None:
         raise ConfigError(f"unknown config key {names} (known: {', '.join(sorted(known))})")
 
 
-def _number(key: str, val, kind):
-    # val as kind; booleans, text, inf, nan and (for int) fractions are rejected
+def _block(cfg: dict, block: str) -> dict:
+    """The checked values of ``block``'s keys, an absent key at its default."""
+    given = cfg.get(block, {})
+    if not isinstance(given, dict):
+        raise ConfigError(f"config key {block!r} must be an object")
+    names = {name.split(".")[1]: name for name in KEYS if name.startswith(block + ".")}
+    _check_keys(given, set(names), prefix=f"{block}.")
+    return {k: _checked(name, given.get(k, KEYS[name].default)) for k, name in names.items()}
+
+
+def _checked(name: str, val, kind=None, what: str = ""):
+    """``val`` as config key ``name``'s kind (or ``kind``), inside its range."""
+    key, label = KEYS[name], f"config key {name!r}{what}"
+    kind = kind or key.kind
+    if val is None and key.default is None:
+        return None
+    if isinstance(kind, tuple):
+        if val not in kind:
+            raise ConfigError(f"{label} must be {' or '.join(map(repr, kind))} (got {val!r})")
+        return val
+    if isinstance(kind, list):
+        if not isinstance(val, list) or not val:
+            raise ConfigError(f"{label} must be a nonempty list (got {val!r})")
+        return [_checked(name, v, kind[0], " entries") for v in val]
+    if kind in (str, bool):
+        if not isinstance(val, kind) or val == "":
+            want = "a non-empty string" if kind is str else "true or false"
+            raise ConfigError(f"{label} must be {want} (got {val!r})")
+        return val
+    # booleans, text, inf, nan and (for int) fractions are not numbers here
     if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError(f"config key {key!r} must be a number (got {val!r})")
-    if isinstance(val, float) and not math.isfinite(val):
-        raise ConfigError(f"config key {key!r} must be finite (got {val!r})")
+        raise ConfigError(f"{label} must be a number (got {val!r})")
+    if (kind is float or isinstance(val, float)) and not abs(val) <= sys.float_info.max:
+        raise ConfigError(f"{label} must be finite (got {val!r})")
     if kind is int and int(val) != val:
-        raise ConfigError(f"config key {key!r} must be an integer (got {val!r})")
-    return kind(val)
-
-
-def _validate_numeric(cfg: dict, key: str, kind, low=None, high=None) -> None:
-    cfg[key] = _number(key, cfg.get(key), kind)
-    if low is not None and cfg[key] < low:
-        raise ConfigError(f"config key {key!r} must be >= {low}")
-    if high is not None and cfg[key] > high:
-        raise ConfigError(f"config key {key!r} must be <= {high}")
+        raise ConfigError(f"{label} must be an integer (got {val!r})")
+    val = kind(val)
+    strict = kind is float
+    if key.low is not None and (val <= key.low if strict else val < key.low):
+        raise ConfigError(f"{label} must be {'>' if strict else '>='} {key.low}")
+    if key.high is not None and (val >= key.high if strict else val > key.high):
+        raise ConfigError(f"{label} must be {'<' if strict else '<='} {key.high}")
+    return val
 
 
 def _ar_config(cfg: dict) -> ArConfig:
-    block = cfg.get("ar", {})
-    rho = _number("ar.rho", block.get("rho", 0.9), float)
-    d = _number("ar.d", block.get("d", 2), int)
-    h = _number("ar.h", block.get("h", 0.49), float)
-    r = _number("ar.r", block.get("r", 1.5), float)
     try:
-        return ArConfig(rho=rho, d=d, h=h, r=r)
+        return ArConfig(**_block(cfg, "ar"))
     except ValueError as err:  # ArConfig's messages open with the field's name
         raise ConfigError(f"bad AR parameters: ar.{err}") from None
 
 
 def _logit_model(cfg: dict) -> LogitModel:
-    block = cfg.get("logit", {})
-    data_path = block.get("data_path")
-    if not isinstance(data_path, str) or not data_path:
-        # open() reads an integer as a file descriptor
-        raise ConfigError(
-            f"config key 'logit.data_path' must be a non-empty string (got {data_path!r})"
-        )
-    sigma_scale = _number("logit.sigma_scale", block.get("sigma_scale", 10.0), float)
-    h = _number("logit.h", block.get("h", 0.49), float)
-    r = _number("logit.r", block.get("r", 1.001), float)
-    standardize = block.get("standardize", False)
-    if not isinstance(standardize, bool):
-        raise ConfigError(f"logit.standardize must be true or false (got {standardize!r})")
-    if sigma_scale <= 0:
-        raise ConfigError("logit.sigma_scale must be positive")
+    block = _block(cfg, "logit")
+    data_path, sigma_scale, h, r = (block[k] for k in ("data_path", "sigma_scale", "h", "r"))
+    if data_path is None:  # the one key without a default that a command needs
+        raise ConfigError("config key 'logit.data_path' must be a non-empty string (got None)")
     try:
-        dataset = load_heart_dataset(data_path, standardize=standardize, verbose=True)
+        dataset = load_heart_dataset(data_path, standardize=block["standardize"], verbose=True)
     except FileNotFoundError:
         raise ConfigError(f"data file not found: {data_path}") from None
     # the config key and value behind each checked value, by the first word
@@ -217,22 +237,13 @@ def _write_diagnostics(out: str, payload: dict) -> None:
 
 
 def _plan_params(cfg: dict) -> tuple[float, float, list[int]]:
-    block = cfg.get("plan", {})
-    eps = _number("plan.eps", block.get("eps", 0.1), float)
-    delta = _number("plan.delta", block.get("delta", 0.1), float)
-    dims = block.get("dims", [1, 5, 10, 15, 20, 25, 30])
-    if not isinstance(dims, list) or not dims:
-        raise ConfigError(f"config key 'plan.dims' must be a nonempty list (got {dims!r})")
-    if not (0 < eps < 1 and 0 < delta < 1):
-        raise ConfigError("plan.eps and plan.delta must lie in (0, 1)")
+    block = _block(cfg, "plan")
+    eps, delta = block["eps"], block["delta"]
     if delta * eps**2 == 0.0:
         raise ConfigError(
             f"plan.eps = {eps!r}, plan.delta = {delta!r}: the budget delta eps^2 underflows"
         )
-    dims = [_number("plan.dims", d, int) for d in dims]
-    if min(dims) < 1:
-        raise ConfigError(f"config key 'plan.dims' entries must be >= 1 (got {dims!r})")
-    return eps, delta, dims
+    return eps, delta, block["dims"]
 
 
 def _sizes_overflow(
@@ -254,36 +265,35 @@ def _sizes_overflow(
     )
 
 
+def _ar_drift(ar: ArConfig, d: int, prefix: str, at: str):
+    """bounds.ar_drift_constants at dimension d, each error naming its key."""
+    try:
+        return bounds.ar_drift_constants(ar.rho, d, ar.h, ar.r)
+    except ValueError as err:  # ArConfig checked all but the drift radius R
+        raise ConfigError(
+            f"{prefix}: ar.r = {ar.r!r} gives the drift radius R = 1 + r d {at}: {err}"
+        ) from None
+    except OverflowError:  # the weight second moment w2 = t^d, t >= 1
+        raise ConfigError(
+            f"{prefix}: ar.h = {ar.h!r} {at}: the weight second moment w2 = t^d overflows"
+        ) from None
+
+
 def cmd_plan(cfg: dict) -> int:
     ar = _ar_config(cfg)
     eps, delta, dims = _plan_params(cfg)
     rows = []
     for d in dims:
-        w2 = None
+        drift, w2 = _ar_drift(ar, d, "bad plan parameters", f"at plan dimension d = {d}")
         try:
-            drift, w2 = bounds.ar_drift_constants(ar.rho, d, ar.h, ar.r)
             N, M = bounds.plan_sizes(eps, delta, drift, w2)
-        except OverflowError:  # w2 = t^d, or a planned size, leaves float range
-            if w2 is None:
-                raise ConfigError(
-                    f"bad plan parameters: ar.h = {ar.h!r} at plan dimension d = {d}: "
-                    "the weight second moment w2 = t^d overflows"
-                ) from None
+        except OverflowError:  # a planned size leaves float range
             raise _sizes_overflow(ar, eps, delta, d, drift.R, w2) from None
-        except ValueError as err:  # ArConfig and _plan_params checked all but R
-            raise ConfigError(
-                f"bad plan parameters: ar.r = {ar.r!r} gives the drift radius R = 1 + r d "
-                f"at plan dimension d = {d}: {err}"
-            ) from None
-        except ArithmeticError as err:
-            raise ConfigError(f"bad plan parameters: {err}") from None
         rows.append([d, drift.gamma, drift.K, drift.R, drift.effective_rate, w2, N, M])
     header = ["d", "gamma", "K", "R", "gamma_R", "w2", "N_required", "M_required"]
     out = _ensure_out(cfg)
-    path = os.path.join(out, "plan.csv")
-    _write_csv(path, header, rows)
-    print(",".join(header))
-    for row in rows:
+    _write_csv(os.path.join(out, "plan.csv"), header, rows)
+    for row in [header, *rows]:
         print(",".join(_fmt(v) for v in row))
     return EXIT_OK
 
@@ -343,20 +353,8 @@ def _run_model(cfg: dict, model, names: list[str]) -> int:
 
 def cmd_run_ar(cfg: dict) -> int:
     config = _ar_config(cfg)
-    try:
-        model = ArModel(config)
-    except ValueError as err:  # ArConfig checked all but the drift radius R
-        raise ConfigError(
-            f"bad AR parameters: ar.r = {config.r!r} gives the drift radius R = 1 + r d "
-            f"at d = {config.d}: {err}"
-        ) from None
-    except ArithmeticError:  # the weight second moment w2 = t^d, t >= 1
-        raise ConfigError(
-            f"bad AR parameters: ar.h = {config.h!r} at d = {config.d}: "
-            "the weight second moment w2 = t^d overflows"
-        ) from None
-    names = [f"x{j}" for j in range(config.d)]
-    return _run_model(cfg, model, names)
+    _ar_drift(config, config.d, "bad AR parameters", f"at d = {config.d}")
+    return _run_model(cfg, ArModel(config), [f"x{j}" for j in range(config.d)])
 
 
 def cmd_run_logit(cfg: dict) -> int:
@@ -368,23 +366,15 @@ def cmd_run_logit(cfg: dict) -> int:
 
 
 def _baseline_params(cfg: dict) -> tuple[int, int, str, float | None]:
-    block = cfg.get("baseline", {})
-    steps = _number("baseline.steps", block.get("steps", 100_000), int)
-    burn_in = _number("baseline.burn_in", block.get("burn_in", steps // 10), int)
-    override = block.get("rwm_scale_override")
-    if override is not None:
-        override = _number("baseline.rwm_scale_override", override, float)
-        if override <= 0:
-            raise ConfigError(
-                f"config key 'baseline.rwm_scale_override' must be > 0 (got {override!r})"
-            )
-    if burn_in < 0 or steps - burn_in < 4:
-        # batch means need at least two batches of two kept steps
-        raise ConfigError("baseline needs burn_in >= 0 and steps - burn_in >= 4")
-    start_mode = block.get("start", "atoms")
-    if start_mode not in ("atoms", "proposal"):
-        raise ConfigError("baseline.start must be 'atoms' or 'proposal'")
-    return steps, burn_in, start_mode, override
+    block = _block(cfg, "baseline")
+    steps, burn_in = block["steps"], block["burn_in"]
+    burn_in = steps // 10 if burn_in is None else burn_in
+    if steps - burn_in < 4:  # batch means need at least two batches of two kept steps
+        raise ConfigError(
+            f"baseline.steps = {steps!r} and baseline.burn_in = {burn_in!r} keep "
+            f"{steps - burn_in} steps; batch means need at least 4"
+        )
+    return steps, burn_in, block["start"], block["rwm_scale_override"]
 
 
 def _baseline_common(cfg: dict, which: str) -> int:
@@ -415,14 +405,7 @@ def _baseline_common(cfg: dict, which: str) -> int:
     if which == "gibbs":
         res = run_single_chain_gibbs(posterior, steps, burn_in, start, cfg["master_seed"])
     else:
-        res = run_rwm(
-            posterior,
-            steps,
-            burn_in,
-            start,
-            cfg["master_seed"],
-            scale_override=override,
-        )
+        res = run_rwm(posterior, steps, burn_in, start, cfg["master_seed"], scale_override=override)
     runtime = time.perf_counter() - t0
     names = posterior.dataset.column_names
     _write_csv(
@@ -437,8 +420,15 @@ def _baseline_common(cfg: dict, which: str) -> int:
         "runtime_seconds": runtime,
     }
     if res.acceptance_rate is not None:
-        diag["acceptance_rate"] = res.acceptance_rate
-        print(f"acceptance rate: {res.acceptance_rate:.3f}")
+        diag["acceptance_rate"] = rate = res.acceptance_rate
+        print(f"acceptance rate: {rate:.3f}")
+        if rate in (0.0, 1.0):  # a chain stuck at its start, or stepping too short to explore
+            print(
+                f"warning: random-walk acceptance rate = {rate:.1f} over {steps} steps: every "
+                f"step was {'rejected' if rate == 0 else 'accepted'}, so the chain's mean and "
+                "stderr do not describe the posterior; change baseline.rwm_scale_override",
+                file=sys.stderr,
+            )
     _write_diagnostics(out, diag)
     _maybe_compare(out, names)
     print(f"wrote {out}/baseline_{which}.csv, runtime={runtime:.1f}s")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -13,6 +14,8 @@ import pytest
 
 from mscmc.ar import ArConfig, ArModel
 from mscmc.cli import (
+    COMMANDS,
+    KEYS,
     _ar_config,
     _baseline_params,
     _logit_model,
@@ -28,6 +31,32 @@ from mscmc.engine import build_initial_distribution
 from mscmc.rng import derive_stream
 
 from conftest import HEART_PATH, REPO_ROOT
+
+
+# the bad values tried on every config key, wherever the table's kind and
+# range reject them
+BAD_VALUES = ["abc", "", True, [], {}, None, -1, 0, 0.5, 1e308, -1e308, 2**70, 1e-320]
+
+
+def table_admits(key, value) -> bool:
+    """Whether ``value`` has config key ``key``'s kind and lies in its range."""
+    kind, low, high = key.kind, key.low, key.high
+    if value is None:
+        return key.default is None
+    if isinstance(kind, tuple):
+        return value in kind
+    if isinstance(kind, list):
+        entry = type(key)(1, kind[0], low, high)
+        return isinstance(value, list) and value != [] and all(table_admits(entry, v) for v in value)
+    if kind in (str, bool):
+        return isinstance(value, kind) and value != ""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    if kind is int and int(value) != value:
+        return False
+    if kind is float:  # a float's range is open, an int's closed
+        return (low is None or value > low) and (high is None or value < high)
+    return (low is None or value >= low) and (high is None or value <= high)
 
 
 def write_config(path, **overrides):
@@ -276,6 +305,28 @@ class TestRunLogit:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["acceptance_rate"] == res.acceptance_rate
 
+    @pytest.mark.parametrize("override", [1e10, None])
+    def test_stuck_rwm_chain_warns(self, tmp_path, capsys, override):
+        # at 1e10 the random walk rejects every step; the default scale
+        # accepts some; either way the run exits 0 and writes its files
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            model="logit",
+            out_dir=str(out),
+            n_atoms=300,
+            logit={"data_path": HEART_PATH},
+            baseline={"steps": 300, "burn_in": 30, "rwm_scale_override": override},
+        )
+        assert main(["baseline-rwm", str(cfg)]) == 0
+        err = capsys.readouterr().err
+        if override is None:
+            assert "warning" not in err
+        else:
+            assert err.startswith("warning: random-walk acceptance rate = 0.0 over 300 steps")
+            assert err.count("\n") == 1
+        assert (out / "baseline_rwm.csv").exists()
+
     def test_collapsed_restart_warns(self, tmp_path, capsys):
         # the prior-scale proposal puts almost all weight on one heart atom
         out = tmp_path / "out"
@@ -343,15 +394,12 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "command, overrides",
         [
-            ("run-logit", {"logit": {"data_path": HEART_PATH, "sigma_scale": "abc"}}),
             ("run-logit", {"logit": {"data_path": HEART_PATH, "r": 0.5}}),
-            ("plan", {"plan": {"eps": "abc"}}),
             ("plan", {"plan": {"dims": ["x"]}}),
             ("plan", {"plan": {"dims": [0]}}),
             ("plan", {"plan": {"dims": [1.9]}}),
             ("plan", {"plan": {"dims": [True]}}),
             ("run-ar", {"ar": {"d": 2.7}}),
-            ("run-ar", {"ar": {"d": True}}),
             ("run-ar", {"ar": {"d": "2"}}),
             ("baseline-gibbs", {"logit": {"data_path": HEART_PATH}, "baseline": {"steps": 400.9}}),
             (
@@ -361,17 +409,11 @@ class TestConfigHandling:
             ("plan", {"ar": {"rho": 1.5}}),
             ("run-logit", {"logit": {"data_path": HEART_PATH, "standardize": "no"}}),
             ("run-ar", {"master_seed": 2**64}),
-            ("baseline-gibbs", {"logit": {"data_path": HEART_PATH}, "baseline": {"steps": "abc"}}),
-            (
-                "baseline-rwm",
-                {"logit": {"data_path": HEART_PATH}, "baseline": {"rwm_scale_override": "abc"}},
-            ),
             ("plan", {"plan": 5}),
             ("plan", {"ar": 5}),
             ("baseline-gibbs", {"logit": {"data_path": HEART_PATH}, "baseline": 5}),
             ("baseline-gibbs", {"logit": {"data_path": HEART_PATH}, "baseline": {"start": "nope"}}),
             ("run-ar", {"ar": {"rho": "0.9"}}),
-            ("run-ar", {"ar": {"h": True}}),
             ("run-ar", {"ar": {"r": math.inf}}),
             ("run-ar", {"ar": {"h": 1e-320}}),
             ("run-ar", {"ar": {"h": 1e308}}),
@@ -381,7 +423,6 @@ class TestConfigHandling:
             ("plan", {"ar": {"h": 1e-320}}),
             ("plan", {"ar": {"h": 1e308}}),
             ("plan", {"plan": {"eps": 1e-200}}),
-            ("run-logit", {"logit": {"data_path": HEART_PATH, "sigma_scale": True}}),
             ("run-logit", {"logit": {"data_path": HEART_PATH, "sigma_scale": math.nan}}),
             ("run-logit", {"logit": {"data_path": HEART_PATH, "h": "0.49"}}),
             (
@@ -394,7 +435,6 @@ class TestConfigHandling:
             ("plan", {"plan": {"epsilon": 0.1}}),
             ("run-logit", {"logit": {"data_path": HEART_PATH, "sigma": 1.0}}),
             ("baseline-gibbs", {"logit": {"data_path": HEART_PATH}, "baseline": {"step": 400}}),
-            ("plan", {"plan": {"dims": []}}),
             ("run-logit", {"logit": {"data_path": HEART_PATH, "sigma_scale": 1e200}}),
             ("baseline-rwm", {"logit": {"data_path": HEART_PATH, "sigma_scale": 1e200}}),
             (
@@ -412,41 +452,29 @@ class TestConfigHandling:
             ("baseline-rwm", {"logit": {"data_path": HEART_PATH, "r": 1e308}}),
             (
                 "baseline-rwm",
-                {"logit": {"data_path": HEART_PATH}, "baseline": {"rwm_scale_override": 0}},
-            ),
-            (
-                "baseline-rwm",
-                {"logit": {"data_path": HEART_PATH}, "baseline": {"rwm_scale_override": -1}},
-            ),
-            (
-                "baseline-rwm",
                 {"logit": {"data_path": HEART_PATH}, "baseline": {"rwm_scale_override": 1e308}},
             ),
+            ("plan", {"plan": {"dims": [1, 2**70]}}),
+            ("run-ar", {"ar": {"rho": 10**400}}),
         ],
         ids=[
-            "logit-sigma-scale",
             "logit-r",
-            "plan-eps",
             "plan-dims",
             "plan-dims-zero",
             "plan-dims-fraction",
             "plan-dims-bool",
             "ar-d-fraction",
-            "ar-d-bool",
             "ar-d-text",
             "baseline-steps-fraction",
             "baseline-burn-in-fraction",
             "plan-ar-rho",
             "logit-standardize-text",
             "seed-above-64-bits",
-            "baseline-steps",
-            "baseline-rwm-scale",
             "plan-not-object",
             "plan-ar-not-object",
             "baseline-not-object",
             "baseline-start",
             "ar-rho-text",
-            "ar-h-bool",
             "ar-r-infinite",
             "ar-h-overflow",
             "ar-h-draw-overflow",
@@ -456,7 +484,6 @@ class TestConfigHandling:
             "plan-ar-h-overflow",
             "plan-ar-h-draw-overflow",
             "plan-eps-underflow",
-            "logit-sigma-scale-bool",
             "logit-sigma-scale-nan",
             "logit-h-text",
             "baseline-rwm-scale-infinite",
@@ -466,7 +493,6 @@ class TestConfigHandling:
             "plan-unknown-key",
             "logit-unknown-key",
             "baseline-unknown-key",
-            "plan-dims-empty",
             "logit-sigma-scale-overflow",
             "baseline-sigma-scale-overflow",
             "baseline-too-few-kept-steps",
@@ -479,9 +505,9 @@ class TestConfigHandling:
             "logit-r-radius-overflow",
             "baseline-gibbs-r-radius-overflow",
             "baseline-rwm-r-radius-overflow",
-            "baseline-rwm-scale-zero",
-            "baseline-rwm-scale-negative",
             "baseline-rwm-scale-overflow",
+            "plan-dims-entry-ceiling",
+            "ar-rho-past-float-range",
         ],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, command, overrides):
@@ -490,6 +516,24 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+
+    @pytest.mark.parametrize(
+        "command, name", [(c, n) for c in COMMANDS for n in KEYS], ids=lambda v: str(v)
+    )
+    def test_bad_value_rejected_at_load(self, tmp_path, capsys, command, name):
+        # every command checks every key while the config loads, so each bad
+        # value exits 2 with one line naming its key, and no directory is made
+        block, _, key = name.rpartition(".")
+        out = tmp_path / "out"
+        cases = [v for v in BAD_VALUES if not table_admits(KEYS[name], v)]
+        assert cases
+        for value in cases:
+            overrides = {block: {key: value}} if block else {key: value}
+            cfg = write_config(tmp_path / "cfg.json", **{"out_dir": str(out), **overrides})
+            assert main([command, str(cfg)]) == 2, value
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: config key '{name}'") and err.count("\n") == 1, err
+            assert not out.exists(), value
 
     @pytest.mark.parametrize("value", [0, -1, 1e308])
     def test_rwm_scale_override_named(self, tmp_path, capsys, value):
@@ -677,9 +721,17 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("name", sorted(os.listdir(os.path.join(REPO_ROOT, "configs"))))
     def test_shipped_config_validates(self, name, monkeypatch):
-        # data paths in the shipped files are relative to the checkout root
+        # load_config checks each key of the file against the table; the block
+        # parsers add the models' own checks.  Data paths in the shipped files
+        # are relative to the checkout root
         monkeypatch.chdir(REPO_ROOT)
         path = os.path.join("configs", name)
+        with open(path) as fh:
+            raw = json.load(fh)
+        for top, val in raw.items():
+            given = {f"{top}.{k}": v for k, v in val.items()} if isinstance(val, dict) else {top: val}
+            for key, value in given.items():
+                assert table_admits(KEYS[key], value), key
         cfg = load_config(path, build_parser().parse_args(["plan", path]))
         if cfg["model"] == "logit":  # run-logit and both baselines
             _logit_model(cfg)
@@ -687,6 +739,25 @@ class TestConfigHandling:
         else:  # run-ar and plan
             _ar_config(cfg)
             _plan_params(cfg)
+
+
+    def test_readme_schema_lists_the_table_keys(self):
+        # the keys of README's "Config schema" block, top-level and dotted
+        with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as fh:
+            readme = fh.read()
+        schema = readme.split("### Config schema", 1)[1].split("```jsonc", 1)[1].split("```")[0]
+        schema = re.sub(r"//[^\n]*", "", schema)
+        keys, depth, block = [], 0, None
+        for m in re.finditer(r'"(\w+)"\s*:(\s*\{)?|[{}]', schema):
+            if m.group(1) is None:
+                depth += 1 if m.group() == "{" else -1
+            elif depth == 2:
+                keys.append(f"{block}.{m.group(1)}")
+            elif m.group(2):
+                block, depth = m.group(1), 2
+            else:
+                keys.append(m.group(1))
+        assert sorted(keys) == sorted(KEYS)
 
 
 class TestPgSelftest:
