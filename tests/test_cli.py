@@ -394,6 +394,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "command, overrides",
         [
+            ("run-logit", {"logit": {"data_path": HEART_PATH, "sigma_scale": "abc"}}),
             ("run-logit", {"logit": {"data_path": HEART_PATH, "r": 0.5}}),
             ("plan", {"plan": {"dims": ["x"]}}),
             ("plan", {"plan": {"dims": [0]}}),
@@ -409,6 +410,10 @@ class TestConfigHandling:
             ("plan", {"ar": {"rho": 1.5}}),
             ("run-logit", {"logit": {"data_path": HEART_PATH, "standardize": "no"}}),
             ("run-ar", {"master_seed": 2**64}),
+            (
+                "baseline-rwm",
+                {"logit": {"data_path": HEART_PATH}, "baseline": {"rwm_scale_override": "abc"}},
+            ),
             ("plan", {"plan": 5}),
             ("plan", {"ar": 5}),
             ("baseline-gibbs", {"logit": {"data_path": HEART_PATH}, "baseline": 5}),
@@ -423,6 +428,7 @@ class TestConfigHandling:
             ("plan", {"ar": {"h": 1e-320}}),
             ("plan", {"ar": {"h": 1e308}}),
             ("plan", {"plan": {"eps": 1e-200}}),
+            ("run-logit", {"logit": {"data_path": HEART_PATH, "sigma_scale": True}}),
             ("run-logit", {"logit": {"data_path": HEART_PATH, "sigma_scale": math.nan}}),
             ("run-logit", {"logit": {"data_path": HEART_PATH, "h": "0.49"}}),
             (
@@ -452,12 +458,21 @@ class TestConfigHandling:
             ("baseline-rwm", {"logit": {"data_path": HEART_PATH, "r": 1e308}}),
             (
                 "baseline-rwm",
+                {"logit": {"data_path": HEART_PATH}, "baseline": {"rwm_scale_override": 0}},
+            ),
+            (
+                "baseline-rwm",
+                {"logit": {"data_path": HEART_PATH}, "baseline": {"rwm_scale_override": -1}},
+            ),
+            (
+                "baseline-rwm",
                 {"logit": {"data_path": HEART_PATH}, "baseline": {"rwm_scale_override": 1e308}},
             ),
             ("plan", {"plan": {"dims": [1, 2**70]}}),
             ("run-ar", {"ar": {"rho": 10**400}}),
         ],
         ids=[
+            "logit-sigma-scale",
             "logit-r",
             "plan-dims",
             "plan-dims-zero",
@@ -470,6 +485,7 @@ class TestConfigHandling:
             "plan-ar-rho",
             "logit-standardize-text",
             "seed-above-64-bits",
+            "baseline-rwm-scale",
             "plan-not-object",
             "plan-ar-not-object",
             "baseline-not-object",
@@ -484,6 +500,7 @@ class TestConfigHandling:
             "plan-ar-h-overflow",
             "plan-ar-h-draw-overflow",
             "plan-eps-underflow",
+            "logit-sigma-scale-bool",
             "logit-sigma-scale-nan",
             "logit-h-text",
             "baseline-rwm-scale-infinite",
@@ -505,6 +522,8 @@ class TestConfigHandling:
             "logit-r-radius-overflow",
             "baseline-gibbs-r-radius-overflow",
             "baseline-rwm-r-radius-overflow",
+            "baseline-rwm-scale-zero",
+            "baseline-rwm-scale-negative",
             "baseline-rwm-scale-overflow",
             "plan-dims-entry-ceiling",
             "ar-rho-past-float-range",
