@@ -64,18 +64,14 @@ def run_single_chain_gibbs(
     return ChainRunResult(mean=mean, stderr=stderr, n_steps=steps, burn_in=burn_in)
 
 
-def rwm_step_factor(posterior: LogitPosterior, scale_override: float | None = None) -> np.ndarray:
+def rwm_step_factor(posterior: LogitPosterior) -> np.ndarray:
     """Cholesky factor of the random-walk proposal covariance.
 
     The proposal is scaled to the posterior's own curvature: (2.38^2 / d)
     times the inverse-Hessian covariance at the mode, the classic
-    optimal-scaling rule for Gaussian-like targets.  ``scale_override``
-    multiplies the step size.
+    optimal-scaling rule for Gaussian-like targets.
     """
-    step = 2.38 / math.sqrt(posterior.d)
-    if scale_override is not None:
-        step *= scale_override
-    return step * np.linalg.cholesky(posterior.laplace_covariance())
+    return 2.38 / math.sqrt(posterior.d) * np.linalg.cholesky(posterior.laplace_covariance())
 
 
 def run_rwm(
@@ -84,13 +80,12 @@ def run_rwm(
     burn_in: int,
     start: np.ndarray,
     master_seed: int,
-    scale_override: float | None = None,
 ) -> ChainRunResult:
     """Random-walk Metropolis with curvature-tuned proposal covariance."""
     if not steps > burn_in >= 0:
         raise ValueError("need steps > burn_in >= 0")
     stream = derive_stream(master_seed, "rwm-chain", 0)
-    factor = rwm_step_factor(posterior, scale_override)
+    factor = rwm_step_factor(posterior)
     beta = np.asarray(start, dtype=float)
     log_post = log_unnorm_posterior(beta, posterior)
     keep = np.empty((steps - burn_in, posterior.d))

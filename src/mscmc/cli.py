@@ -26,7 +26,7 @@ import numpy as np
 
 from . import bounds
 from .ar import ArConfig, ArModel
-from .baselines import run_rwm, rwm_step_factor, run_single_chain_gibbs
+from .baselines import run_rwm, run_single_chain_gibbs
 from .engine import (
     DEFAULT_EXCURSION_CAP,
     CapExceededError,
@@ -37,7 +37,7 @@ from .engine import (
     resolve_workers,
 )
 from .logit import DataFormatError, LogitModel, LogitPosterior, load_heart_dataset
-from .rng import CategoricalSampler, derive_stream, sample_polya_gamma_batch
+from .rng import CategoricalSampler, CounterDraws, derive_stream, fnv1a64, sample_polya_gamma_batch
 
 SCHEMA_VERSION = "msc-output-1"
 
@@ -89,8 +89,6 @@ KEYS = {
     "plan.dims": _Key([1, 5, 10, 15, 20, 25, 30], [int], 1, MAX_COUNT),
     "baseline.steps": _Key(100_000, int, 1, MAX_COUNT),
     "baseline.burn_in": _Key(None, int, 0),  # null: steps // 10
-    "baseline.start": _Key("atoms", ("atoms", "proposal")),
-    "baseline.rwm_scale_override": _Key(None, float, 0),  # null: the 2.38^2 / d rule
 }
 _TOP = [name for name in KEYS if "." not in name]
 _BLOCKS = list(dict.fromkeys(name.split(".")[0] for name in KEYS if "." in name))
@@ -298,8 +296,9 @@ def cmd_plan(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _run_model(cfg: dict, model, names: list[str]) -> int:
-    out = _ensure_out(cfg)
+def _run_model(cfg: dict, model, names: list[str] | None = None) -> int:
+    # names: one per coordinate, or None for x0, x1, ...; the directory is
+    # made once the run has a result, so a run that fails leaves none
     t0 = time.perf_counter()
     atoms = build_initial_distribution(
         model, cfg["n_atoms"], cfg["master_seed"], workers=cfg["workers"]
@@ -310,23 +309,23 @@ def _run_model(cfg: dict, model, names: list[str]) -> int:
             "half the weight, so most chains start from that atom",
             file=sys.stderr,
         )
+    d = atoms.atoms.shape[1]
     result = msc_estimate(
         model,
         atoms,
         cfg["n_chains"],
-        coordinate_functions(len(names)),
+        coordinate_functions(d),
         cfg["master_seed"],
         cap=cfg["excursion_cap"],
         workers=cfg["workers"],
     )
     runtime = time.perf_counter() - t0
+    names = names or [f"x{j}" for j in range(d)]
+    out = _ensure_out(cfg)
     _write_csv(
         os.path.join(out, "estimates.csv"),
         ["function", "estimate", "stderr"],
-        [
-            [names[j], float(result.estimates[j]), float(result.stderrs[j])]
-            for j in range(len(names))
-        ],
+        [[names[j], float(result.estimates[j]), float(result.stderrs[j])] for j in range(d)],
     )
     _write_taus(os.path.join(out, "excursions.csv"), result.taus)
     _write_diagnostics(
@@ -354,7 +353,7 @@ def _run_model(cfg: dict, model, names: list[str]) -> int:
 def cmd_run_ar(cfg: dict) -> int:
     config = _ar_config(cfg)
     _ar_drift(config, config.d, "bad AR parameters", f"at d = {config.d}")
-    return _run_model(cfg, ArModel(config), [f"x{j}" for j in range(config.d)])
+    return _run_model(cfg, ArModel(config))
 
 
 def cmd_run_logit(cfg: dict) -> int:
@@ -365,7 +364,7 @@ def cmd_run_logit(cfg: dict) -> int:
     return code
 
 
-def _baseline_params(cfg: dict) -> tuple[int, int, str, float | None]:
+def _baseline_params(cfg: dict) -> tuple[int, int]:
     block = _block(cfg, "baseline")
     steps, burn_in = block["steps"], block["burn_in"]
     burn_in = steps // 10 if burn_in is None else burn_in
@@ -374,39 +373,24 @@ def _baseline_params(cfg: dict) -> tuple[int, int, str, float | None]:
             f"baseline.steps = {steps!r} and baseline.burn_in = {burn_in!r} keep "
             f"{steps - burn_in} steps; batch means need at least 4"
         )
-    return steps, burn_in, block["start"], block["rwm_scale_override"]
+    return steps, burn_in
 
 
 def _baseline_common(cfg: dict, which: str) -> int:
-    steps, burn_in, start_mode, override = _baseline_params(cfg)
+    steps, burn_in = _baseline_params(cfg)
     model = _logit_model(cfg)
     posterior = model.posterior
-    if override is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            factor = rwm_step_factor(posterior, override)
-            finite = np.isfinite(factor @ factor.T).all()
-        if not finite:
-            raise ConfigError(
-                f"config key 'baseline.rwm_scale_override' = {override!r} gives a "
-                "random-walk proposal covariance that is not finite"
-            )
-    out = _ensure_out(cfg)
     t0 = time.perf_counter()
-
-    if start_mode == "atoms":
-        atoms = build_initial_distribution(
-            model, cfg["n_atoms"], cfg["master_seed"], workers=cfg["workers"]
-        )
-        stream = derive_stream(cfg["master_seed"], "baseline-start", 0)
-        start = atoms.atoms[CategoricalSampler(atoms.norm_weights).sample(stream)]
-    else:
-        start = model.propose(derive_stream(cfg["master_seed"], "baseline-start", 0))
-
-    if which == "gibbs":
-        res = run_single_chain_gibbs(posterior, steps, burn_in, start, cfg["master_seed"])
-    else:
-        res = run_rwm(posterior, steps, burn_in, start, cfg["master_seed"], scale_override=override)
+    # the chain starts from the restart atom that word 0 of its stream picks
+    atoms = build_initial_distribution(
+        model, cfg["n_atoms"], cfg["master_seed"], workers=cfg["workers"]
+    )
+    stream = derive_stream(cfg["master_seed"], "baseline-start", 0)
+    start = atoms.atoms[CategoricalSampler(atoms.norm_weights).sample(stream)]
+    run = run_single_chain_gibbs if which == "gibbs" else run_rwm
+    res = run(posterior, steps, burn_in, start, cfg["master_seed"])
     runtime = time.perf_counter() - t0
+    out = _ensure_out(cfg)
     names = posterior.dataset.column_names
     _write_csv(
         os.path.join(out, f"baseline_{which}.csv"),
@@ -422,11 +406,11 @@ def _baseline_common(cfg: dict, which: str) -> int:
     if res.acceptance_rate is not None:
         diag["acceptance_rate"] = rate = res.acceptance_rate
         print(f"acceptance rate: {rate:.3f}")
-        if rate in (0.0, 1.0):  # a chain stuck at its start, or stepping too short to explore
+        if rate in (0.0, 1.0):  # a short run can reject, or accept, every step
             print(
                 f"warning: random-walk acceptance rate = {rate:.1f} over {steps} steps: every "
                 f"step was {'rejected' if rate == 0 else 'accepted'}, so the chain's mean and "
-                "stderr do not describe the posterior; change baseline.rwm_scale_override",
+                "stderr do not describe the posterior; run more steps",
                 file=sys.stderr,
             )
     _write_diagnostics(out, diag)
@@ -485,12 +469,15 @@ def cmd_baseline_rwm(cfg: dict) -> int:
 
 
 def cmd_pg_selftest(cfg: dict) -> int:
-    """Quick distributional check of the latent-variable sampler."""
+    """Quick distributional check of the latent-variable sampler, drawn by
+    counter as the Gibbs kernel draws: tilt k's draws are rows 0..n-1 under
+    key (master_seed XOR fnv1a64("pg-selftest"), k)."""
     n = 100_000
-    stream = derive_stream(cfg["master_seed"], "pg-selftest", 0)
+    key0 = cfg["master_seed"] ^ fnv1a64("pg-selftest")
     ok = True
-    for b, target in ((0.0, 0.25), (1.0, math.tanh(0.5) / 2.0)):
-        draws = sample_polya_gamma_batch(stream, np.full(n, b))
+    for k, (b, target) in enumerate(((0.0, 0.25), (1.0, math.tanh(0.5) / 2.0))):
+        source = CounterDraws(key0, np.full(n, k), np.arange(n))
+        draws = sample_polya_gamma_batch(source, np.full(n, b))
         err = abs(float(draws.mean()) - target)
         # 5-sigma band on the sample mean
         band = 5.0 * float(draws.std(ddof=1)) / math.sqrt(n)
@@ -548,7 +535,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (CapExceededError, WeightError, MemoryError) as err:
-        print(f"engine error: {err}", file=sys.stderr)
+        print(f"engine error: {str(err) or 'out of memory'}", file=sys.stderr)
         return EXIT_ENGINE
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as err:
         kind = "engine error: a worker process died:" if _worker_died(err) else "numeric error:"

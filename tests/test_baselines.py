@@ -48,15 +48,6 @@ class TestRwm:
         assert abs(res.mean[0]) <= 3 * res.stderr[0]
         assert 0.0 < res.acceptance_rate < 1.0
 
-    def test_zero_step_scale_freezes_chain(self, tiny_symmetric_posterior):
-        start = np.array([0.37])
-        res = run_rwm(
-            tiny_symmetric_posterior, 500, 0, start, master_seed=43, scale_override=0.0
-        )
-        assert res.acceptance_rate == 1.0
-        assert res.mean[0] == pytest.approx(0.37)
-        assert res.stderr[0] == 0.0
-
     def test_acceptance_rate_in_tuned_band(self, heart_path):
         ds = load_heart_dataset(heart_path)
         post = LogitPosterior(ds, 10.0 * np.eye(ds.d))

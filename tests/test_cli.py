@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -26,9 +27,10 @@ from mscmc.cli import (
     load_config,
     main,
 )
-from mscmc.baselines import run_rwm
+from mscmc import cli, rng
+from mscmc.baselines import run_rwm, run_single_chain_gibbs
 from mscmc.engine import build_initial_distribution
-from mscmc.rng import derive_stream
+from mscmc.rng import CategoricalSampler, derive_stream
 
 from conftest import HEART_PATH, REPO_ROOT
 
@@ -280,35 +282,51 @@ class TestRunLogit:
         assert "acceptance rate" in capsys.readouterr().out
         assert os.path.exists(out / "baseline_rwm.csv")
 
-    def test_baseline_rwm_proposal_start_and_scale_override(self, tmp_path):
-        # "start": "proposal" draws the start from the proposal on the
-        # baseline-start stream, and the override scales the RWM step
-        out, seed = tmp_path / "out", 7
+    def _baseline_matches_library(self, tmp_path, which, run, steps):
+        # the CLI's chain is the library's, from the restart atom that word 0
+        # of stream ("baseline-start", 0) picks
+        out, seed, n_atoms = tmp_path / "out", 7, 300
         logit = {"data_path": HEART_PATH, "standardize": True}
         cfg = write_config(
             tmp_path / "cfg.json",
             model="logit",
             master_seed=seed,
+            n_atoms=n_atoms,
             out_dir=str(out),
             logit=logit,
-            baseline={"steps": 400, "burn_in": 40, "start": "proposal", "rwm_scale_override": 0.5},
+            baseline={"steps": steps, "burn_in": steps // 10},
         )
-        assert main(["baseline-rwm", str(cfg)]) == 0
+        assert main([f"baseline-{which}", str(cfg)]) == 0
         model = _logit_model({"logit": logit})
-        start = model.propose(derive_stream(seed, "baseline-start", 0))
-        res = run_rwm(model.posterior, 400, 40, start, seed, scale_override=0.5)
+        atoms = build_initial_distribution(model, n_atoms, seed)
+        start = atoms.atoms[
+            CategoricalSampler(atoms.norm_weights).sample(derive_stream(seed, "baseline-start", 0))
+        ]
+        res = run(model.posterior, steps, steps // 10, start, seed)
         names = model.posterior.dataset.column_names
         want = "coordinate,mean,stderr\n" + "".join(
             f"{name},{float(m)!r},{float(se)!r}\n" for name, m, se in zip(names, res.mean, res.stderr)
         )
-        assert (out / "baseline_rwm.csv").read_text() == want
-        diag = json.loads((out / "diagnostics.json").read_text())
+        assert (out / f"baseline_{which}.csv").read_text() == want
+        return res, json.loads((out / "diagnostics.json").read_text())
+
+    def test_baseline_rwm_matches_library(self, tmp_path):
+        res, diag = self._baseline_matches_library(tmp_path, "rwm", run_rwm, 400)
         assert diag["acceptance_rate"] == res.acceptance_rate
 
-    @pytest.mark.parametrize("override", [1e10, None])
-    def test_stuck_rwm_chain_warns(self, tmp_path, capsys, override):
-        # at 1e10 the random walk rejects every step; the default scale
-        # accepts some; either way the run exits 0 and writes its files
+    def test_baseline_gibbs_matches_library(self, tmp_path):
+        res, diag = self._baseline_matches_library(tmp_path, "gibbs", run_single_chain_gibbs, 200)
+        assert res.acceptance_rate is None and "acceptance_rate" not in diag
+
+    @pytest.mark.parametrize("rate", [0.0, 1.0, None])
+    def test_stuck_rwm_chain_warns(self, tmp_path, capsys, monkeypatch, rate):
+        # a short run can reject, or accept, every step: the run warns once
+        # and still exits 0 with its files; the default run of 300 steps
+        # does neither and does not warn
+        if rate is not None:
+            monkeypatch.setattr(
+                cli, "run_rwm", lambda *args: dataclasses.replace(run_rwm(*args), acceptance_rate=rate)
+            )
         out = tmp_path / "out"
         cfg = write_config(
             tmp_path / "cfg.json",
@@ -316,15 +334,15 @@ class TestRunLogit:
             out_dir=str(out),
             n_atoms=300,
             logit={"data_path": HEART_PATH},
-            baseline={"steps": 300, "burn_in": 30, "rwm_scale_override": override},
+            baseline={"steps": 300, "burn_in": 30},
         )
         assert main(["baseline-rwm", str(cfg)]) == 0
         err = capsys.readouterr().err
-        if override is None:
+        if rate is None:
             assert "warning" not in err
         else:
-            assert err.startswith("warning: random-walk acceptance rate = 0.0 over 300 steps")
-            assert err.count("\n") == 1
+            assert err.startswith(f"warning: random-walk acceptance rate = {rate} over 300 steps")
+            assert err.endswith("; run more steps\n") and err.count("\n") == 1
         assert (out / "baseline_rwm.csv").exists()
 
     def test_collapsed_restart_warns(self, tmp_path, capsys):
@@ -556,7 +574,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("value", [0, -1, 1e308])
     def test_rwm_scale_override_named(self, tmp_path, capsys, value):
-        # rejected before any step, so no overflow warning reaches stderr
+        # the key is gone: any value of it is an unknown key
         cfg = write_config(
             tmp_path / "cfg.json",
             out_dir=str(tmp_path / "out"),
@@ -564,9 +582,29 @@ class TestConfigHandling:
             baseline={"rwm_scale_override": value},
         )
         assert main(["baseline-rwm", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown config key 'baseline.rwm_scale_override' (known: burn_in, steps)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["baseline-gibbs", "baseline-rwm"])
+    @pytest.mark.parametrize(
+        "key, value", [("start", "atoms"), ("start", "proposal"), ("rwm_scale_override", None)]
+    )
+    def test_removed_baseline_key_rejected(self, tmp_path, capsys, command, key, value):
+        # a config written for the baselines' other starts and step scales
+        # names a key the table no longer holds
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            model="logit",
+            out_dir=str(out),
+            logit={"data_path": HEART_PATH},
+            baseline={"steps": 400, key: value},
+        )
+        assert main([command, str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: config key 'baseline.rwm_scale_override'")
-        assert err.count("\n") == 1
+        assert err.startswith(f"error: unknown config key 'baseline.{key}'") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run-ar", "plan"])
     @pytest.mark.parametrize("key, value", [("rho", "x"), ("d", True)])
@@ -787,6 +825,18 @@ class TestPgSelftest:
         assert "self-test passed" in out
         assert out.count("[ok]") == 2
 
+    def test_checks_the_counter_path(self, tmp_path, capsys, monkeypatch):
+        # the Gibbs kernel draws its latents through _CounterRound: doubling
+        # its exponentials must fail the check
+        exponential = rng._CounterRound.exponential
+        monkeypatch.setattr(
+            rng._CounterRound, "exponential", lambda self, *a: 2.0 * exponential(self, *a)
+        )
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "o"))
+        assert main(["pg-selftest", str(cfg)]) == 1
+        out = capsys.readouterr().out
+        assert "self-test failed" in out and "[FAIL]" in out
+
 
 def _child_env() -> dict:
     # a child interpreter imports mscmc from the checkout's src, as the tests do
@@ -828,6 +878,30 @@ class TestStageFailures:
             f"engine error: cannot allocate a ({n_atoms}, 2) float64 array "
             f"({16 * n_atoms} bytes)\n"
         )
+
+    def test_huge_dimension_fails_at_once(self, tmp_path):
+        # under a 2 GB address-space limit, a 2^40-coordinate run fails at
+        # its first allocation and says why, before any directory is made
+        resource = pytest.importorskip("resource")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(out), ar={"d": 2**40, "h": 0.5})
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "mscmc.cli", "run-ar", str(cfg), "--workers", "1"],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            preexec_fn=limit,
+            timeout=30,
+        )
+        assert time.perf_counter() - t0 < 10
+        assert proc.returncode == 1, proc.stderr
+        assert re.fullmatch(r"engine error: \S.*\n", proc.stderr), proc.stderr
+        assert not out.exists()
 
     def test_dead_worker_is_engine_error(self, tmp_path, capsys, monkeypatch):
         def die(*args, **kwargs):
@@ -964,7 +1038,7 @@ class TestScipyFree:
             n_atoms=200,
             n_chains=10,
             logit={"data_path": HEART_PATH, "sigma_scale": 10.0, "h": 0.49, "r": 1.001},
-            baseline={"steps": 200, "burn_in": 20, "start": "atoms"},
+            baseline={"steps": 200, "burn_in": 20},
         )
         proc = subprocess.run(
             [sys.executable, "-c", SCIPY_FREE_SCRIPT, str(ar_cfg), str(logit_cfg)],
@@ -1032,7 +1106,7 @@ class TestImportSet:
             n_atoms=200,
             n_chains=10,
             logit={"data_path": HEART_PATH, "sigma_scale": 10.0, "h": 0.49, "r": 1.001},
-            baseline={"steps": 200, "burn_in": 20, "start": "atoms"},
+            baseline={"steps": 200, "burn_in": 20},
         )
         proc = subprocess.run(
             [sys.executable, "-c", IMPORT_SET_SCRIPT, str(ar_cfg), str(logit_cfg)],
